@@ -291,6 +291,10 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
                        verify_tau: float = 0.6) -> tuple[rd.Dataset, rd.Dataset]:
     """Full canonicalization. Returns (entity_table, link_triples).
 
+    ``triples`` needs the subj, pred, obj, conv_id and turn_idx columns
+    (extra columns are ignored); the mention rows are projected from it
+    here (``mentions_from_triples``).
+
     entity_table: (pid, norm_path, label, canonical_path, canonical_id)
     link_triples: (subj, pred=kb:canonicalEntity, obj=kb:entity-<uuid5>,
                    obj_dt=@id, conv_id, turn_idx)
@@ -314,17 +318,13 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
     bucket_join. Both produce the identical labeling (the clustering
     itself is adaptive inside the dedup engine, independent of this gate).
     """
-    tri_schema = triples.schema()
-    mentions = (triples if tri_schema is not None
-                and "pid" in tri_schema.names
-                else mentions_from_triples(triples))
     # two consumers read the mention stream (distinct-paths dedup and the
     # final link pass): materialize the 6-column projection ONCE so the
     # upstream lineage (triple construction) doesn't re-execute per
     # consumer. The projection is a fraction of the triple stream's bytes
     # and the object store spills it under pressure — strictly cheaper than
     # a second construction pass at any scale.
-    mentions = mentions.materialize()
+    mentions = mentions_from_triples(triples).materialize()
     paths = distinct_paths(mentions).materialize()  # one row per distinct path
     n_paths = paths.count()
 
