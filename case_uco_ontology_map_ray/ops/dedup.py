@@ -10,9 +10,10 @@
 - ngram_jaccard_pairs: candidate pairs with exact n-gram Jaccard >= tau
 
 Scale design (no driver-side corpus state anywhere):
-- Sketching is a stateful actor stage (hash family built once per actor);
-  the sketch table (doc_id, sig, shingles) is materialized once and reused
-  for banding AND verification (object-store blocks spill if needed).
+- Sketching runs as stateless tasks (the hash family is built once per
+  worker process, ``functions/process_cache.py``); the sketch table
+  (doc_id, sig, shingles) is materialized once and reused for banding AND
+  verification (object-store blocks spill if needed).
 - Candidate edges are a Dataset; exact-Jaccard verification attaches both
   sides' shingle sets (broadcast CSR below a threshold, two ``bucket_join``s
   above) and computes every edge's exact Jaccard in ONE vectorized pass per
@@ -45,6 +46,7 @@ from ..functions.hashing import (
     simhash64_batch,
     word_shingles_batch,
 )
+from ..functions.process_cache import process_stage
 from .agg import round_away
 
 # Non-singleton label maps are broadcast on the small path; switch to the
@@ -116,7 +118,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
 
 class _Sketcher:
-    """Actor stage: per-document shingles + minhash signature (+ simhash).
+    """Sketch stage: per-document shingles + minhash signature (+ simhash).
 
     ``emit_shingles`` additionally carries the distinct shingle-hash set as a
     list<uint64> column so downstream exact-Jaccard verification can run
@@ -155,14 +157,18 @@ class _Sketcher:
         return pa.table(cols)
 
 
+def _sketch_fn(t: pa.Table, *sketcher_args) -> pa.Table:
+    return process_stage(_Sketcher, *sketcher_args)(t)
+
+
 def _sketch(ds, num_perm: int, shingle_k: int, use_words: bool,
             emit_shingles: bool = False, emit_simhash: bool = True):
-    # sketching is the dominant per-doc compute: give it all-but-one core
+    # stateless tasks; each worker process keeps one _Sketcher per argument
+    # tuple, so the hash family is built once per process
     return ds.map_batches(
-        _Sketcher,
-        fn_constructor_args=(num_perm, shingle_k, use_words, 42,
-                             emit_shingles, emit_simhash),
-        batch_format="pyarrow", concurrency=_pool(1.0),
+        _sketch_fn,
+        fn_args=(num_perm, shingle_k, use_words, 42, emit_shingles, emit_simhash),
+        batch_format="pyarrow",
     )
 
 
@@ -664,7 +670,7 @@ def minhash_lsh_dedup(
 ):
     """MinHash-LSH near-dup clustering.
 
-    Pipeline: sketch (actor pool, one pass, materialized for reuse) ->
+    Pipeline: sketch (stateless tasks, one pass, materialized for reuse) ->
     explode band rows -> groupby(band) star candidate edges (capped per
     bucket) -> distinct edges -> distributed exact-Jaccard verify (shingle
     sets bucket_joined onto edges) -> min-label propagation -> Dataset
@@ -880,9 +886,7 @@ def ngram_jaccard_exact(ds, shingle_k: int = 3, tau: float = 0.3,
                 pa.array(offs, pa.int32()), pa.array(vals, pa.uint64())),
         })
 
-    # task-based stage (the hash family is stateless): a second actor pool
-    # here would fully reserve the CPUs together with _verify_jaccard's
-    # internal pools and deadlock the task stages between them
+    # stateless task stage: shingling needs no compiled state
     payload = ds.map_batches(shingle_payload, batch_format="pyarrow")
 
     def replicate(t: pa.Table) -> pa.Table:
@@ -929,15 +933,6 @@ def ngram_jaccard_exact(ds, shingle_k: int = 3, tau: float = 0.3,
     out["id_a"] = out["id_a"].astype("int64")
     out["id_b"] = out["id_b"].astype("int64")
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-def _pool(frac: float = 0.5) -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    if frac >= 1.0:
-        return max(1, cpus - 1)
-    return max(1, int(cpus * frac))
 
 
 def incremental_exact_dedup(new_ds, prior_ds, text_col: str = "text",

@@ -85,13 +85,6 @@ def auto_num_buckets(*datasets, target_bytes: int = _BUCKET_TARGET_BYTES) -> int
     return n
 
 
-def _pool_size(frac: float = 0.5) -> int:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(1, int(cpus * frac))
-
-
 def _empty_like(ds):
     """Schema-preserving empty: slice every block to zero rows. If the
     input has no blocks at all (fully-empty lazy lineage), the result is

@@ -228,17 +228,21 @@ class FrameSampler:
         })
 
 
-def frame_sample(ds, n_out: int = 4, batch_size: int = 32, concurrency=None):
-    from .dedup import _pool
+def _pool() -> int:
+    """Actor-pool size for the media stages: half the cluster's CPUs."""
+    import ray
 
+    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    return max(1, cpus // 2)
+
+
+def frame_sample(ds, n_out: int = 4, batch_size: int = 32, concurrency=None):
     return ds.map_batches(FrameSampler, fn_constructor_args=(n_out,),
                           batch_format="pyarrow", batch_size=batch_size,
                           concurrency=concurrency or _pool())
 
 
 def media_features(ds, batch_size: int = 128, concurrency=None):
-    from .dedup import _pool
-
     return ds.map_batches(MediaFeatures, batch_format="pyarrow",
                           batch_size=batch_size,
                           concurrency=concurrency or _pool())
@@ -246,8 +250,6 @@ def media_features(ds, batch_size: int = 128, concurrency=None):
 
 def media_resize(ds, width: int = 16, height: int = 16, batch_size: int = 128,
                  concurrency=None):
-    from .dedup import _pool
-
     return ds.map_batches(MediaResize, fn_constructor_args=(width, height),
                           batch_format="pyarrow", batch_size=batch_size,
                           concurrency=concurrency or _pool())

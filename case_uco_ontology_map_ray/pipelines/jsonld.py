@@ -18,6 +18,7 @@ from ..config import DEFAULT_CONTEXT
 from ..functions.jsonx import loads_fast
 from ..kg.records import extract_records
 from ..stages.kg_stage import TurnTriples
+from .kg import map_turns
 
 
 def nodes_to_graph(node_order: list[str], nodes: dict[str, dict]) -> list[dict]:
@@ -52,7 +53,7 @@ def jsonld_for_payload(payload: dict | list, stage: TurnTriples | None = None) -
 
 
 class TurnJsonLd(TurnTriples):
-    """Actor stage: tool turns -> one JSON-LD document row per record."""
+    """Stage: tool turns -> one JSON-LD document row per record."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         mask = pc.and_(
@@ -180,40 +181,26 @@ def merge_jsonld_patches_broadcast(skeleton_ds, patch_df, key: str = "record_fp"
                                    doc_col: str = "jsonld"):
     """M13, broadcast path: the patch side (LLM outputs exist only for the
     flagged subset, typically tiny) is ``ray.put`` once and applied
-    map-side — no shuffle of the skeleton stream."""
+    map-side by stateless tasks — no shuffle of the skeleton stream."""
     import pandas as pd
     import ray
 
     pmap_ref = ray.put(dict(zip(patch_df[key], patch_df[doc_col])))
 
-    class Merge:
-        def __init__(self):
-            self.pmap = ray.get(pmap_ref)
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        pmap = ray.get(pmap_ref)
+        merged = [
+            json.dumps(merge_graph_into_skeleton(
+                json.loads(doc), json.loads(pmap[k])), sort_keys=True)
+            if k in pmap else doc
+            for k, doc in zip(df[key], df[doc_col])
+        ]
+        return df.assign(**{doc_col: merged})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            pmap = self.pmap
-            merged = [
-                json.dumps(merge_graph_into_skeleton(
-                    json.loads(doc), json.loads(pmap[k])), sort_keys=True)
-                if k in pmap else doc
-                for k, doc in zip(df[key], df[doc_col])
-            ]
-            return df.assign(**{doc_col: merged})
-
-    return skeleton_ds.map_batches(Merge, batch_format="pandas",
-                                   concurrency=2)
+    return skeleton_ds.map_batches(merge, batch_format="pandas")
 
 
-def jsonld_from_transcripts(source, batch_size: int = 2048, concurrency=None):
-    import ray
-    import ray.data as rd
-
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=["conv_id", "turn_idx", "role", "text"])
-    else:
-        ds = source
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = max(1, cpus - 2)
-    return ds.map_batches(TurnJsonLd, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def jsonld_from_transcripts(source, batch_size: int = 2048):
+    """One JSON-LD document row per record (``TurnJsonLd``), as stateless
+    tasks."""
+    return map_turns(source, TurnJsonLd, batch_size)

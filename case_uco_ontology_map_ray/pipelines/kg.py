@@ -2,7 +2,7 @@
 
 Ray-Data-first shape (SURVEY.md §7.1 step 3):
     read_parquet (columns pruned)
-      -> map_batches(TurnTriples actor pool, batch_format='pyarrow')
+      -> map_batches(turn_triples_fn stateless tasks, batch_format='pyarrow')
       -> [optional] write_parquet (partitioned, resumable)
 
 The stage is record-local: no shuffle anywhere in triple construction.
@@ -16,44 +16,37 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions.jsonx import loads_fast
-from ..stages.kg_stage import TurnTriples
+from ..stages.kg_stage import turn_triples_fn
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # Columns the triple stage actually needs — pruned at the read.
 TRIPLE_INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
 
 
-def triples_from_transcripts(
-    source: "str | rd.Dataset",
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 2048,
-) -> rd.Dataset:
-    """Build the (lazy) triples Dataset from a transcripts parquet path or
-    an existing Dataset."""
+def _transcripts(source: "str | rd.Dataset") -> rd.Dataset:
     if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    else:
-        ds = source
-    if concurrency is None:
-        # Default: stateless tasks with a per-worker-process compiled-stage
-        # cache — fully elastic, no actor-pool ramp-up (the compiled state
-        # is <1 ms to build). Pass an explicit concurrency to run the same
-        # stage as a bounded actor pool instead.
-        from ..stages.kg_stage import turn_triples_fn
+        return rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
+    return source
 
-        return ds.map_batches(
-            turn_triples_fn,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-        )
-    return ds.map_batches(
-        TurnTriples,
+
+def map_turns(source: "str | rd.Dataset", stage: type | None = None,
+              batch_size: int = 2048) -> rd.Dataset:
+    """Run a turn stage (``TurnTriples`` by default, or a class built on it)
+    over the transcripts as stateless ``turn_triples_fn`` tasks."""
+    return _transcripts(source).map_batches(
+        turn_triples_fn,
+        fn_kwargs={"stage": stage},
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
+
+
+def triples_from_transcripts(source: "str | rd.Dataset",
+                             batch_size: int = 2048) -> rd.Dataset:
+    """Build the (lazy) triples Dataset from a transcripts parquet path or
+    an existing Dataset."""
+    return map_turns(source, batch_size=batch_size)
 
 
 TRIPLE_KEY = ["subj", "pred", "obj", "obj_dt"]
@@ -230,25 +223,13 @@ def distinct_triples_by_record(source: "str | rd.Dataset",
     return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
 
 
-def validated_triples(source: "str | rd.Dataset", concurrency=None,
+def validated_triples(source: "str | rd.Dataset",
                       batch_size: int = 2048) -> rd.Dataset:
     """Triples + violation column (stages.validate_stage); split with
     ``.filter(expr="violation == ''")`` / ``!=``."""
     from ..stages.validate_stage import ValidatingTurnTriples
 
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    else:
-        ds = source
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = max(1, cpus - 2)
-    return ds.map_batches(
-        ValidatingTurnTriples, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True, concurrency=concurrency,
-    )
+    return map_turns(source, ValidatingTurnTriples, batch_size)
 
 
 def violation_summary(validated: rd.Dataset):
@@ -268,23 +249,13 @@ def violation_summary(validated: rd.Dataset):
     return out.sort_values(["n", "violation"], ascending=[False, True]).reset_index(drop=True)
 
 
-def coverage_by_artifact_type(source: "str | rd.Dataset", concurrency=None):
+def coverage_by_artifact_type(source: "str | rd.Dataset"):
     """A1 coverage stats: per artifact type, record count + field mapping
     coverage (partial map-side stats + global sum)."""
     from ..ops.agg import grouped_sums, round_away
     from ..stages.kg_stage import CoverageStats
 
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    else:
-        ds = source
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        concurrency = max(1, cpus - 2)
-    per_record = ds.map_batches(CoverageStats, batch_format="pyarrow",
-                                batch_size=2048, concurrency=concurrency)
+    per_record = map_turns(source, CoverageStats)
     out = grouped_sums(per_record, keys=["artifact_type"],
                        sum_cols={"total_fields": "total_fields",
                                  "mapped_fields": "mapped_fields",
@@ -383,7 +354,7 @@ def literal_value_counts(triples: rd.Dataset) -> "pd.DataFrame":
             .reset_index(drop=True))
 
 
-def custom_facet_definitions(source: "str | rd.Dataset", concurrency=None):
+def custom_facet_definitions(source: "str | rd.Dataset"):
     """T4 as a distributed aggregate: per artifact type (custom-facet path
     only), the deterministic dfc-ext facet definition + TTL stub inferred
     from that type's record schema — a groupby(artifact_type) over
@@ -480,7 +451,7 @@ def write_triples(triples: rd.Dataset, out_dir: str, min_rows_per_file: int = 20
 
 
 def incremental_triples(source: "str | rd.Dataset", prior_conv_ids: rd.Dataset,
-                        concurrency=None, batch_size: int = 2048) -> rd.Dataset:
+                        batch_size: int = 2048) -> rd.Dataset:
     """Delta KG construction: build triples ONLY for conversations not in
     ``prior_conv_ids`` (a Dataset with a ``conv_id`` column — typically the
     conversation set recorded by a previous run's lineage manifests).
@@ -494,10 +465,6 @@ def incremental_triples(source: "str | rd.Dataset", prior_conv_ids: rd.Dataset,
     """
     from ..ops.joins import bucket_semi_join
 
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    else:
-        ds = source
-    fresh = bucket_semi_join(ds, prior_conv_ids, on="conv_id", negate=True)
-    return triples_from_transcripts(fresh, concurrency=concurrency,
-                                    batch_size=batch_size)
+    fresh = bucket_semi_join(_transcripts(source), prior_conv_ids,
+                             on="conv_id", negate=True)
+    return triples_from_transcripts(fresh, batch_size=batch_size)

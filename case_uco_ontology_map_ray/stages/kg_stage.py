@@ -1,11 +1,14 @@
 """Ray Data stage: transcript turns -> (subj, pred, obj) triple rows.
 
-``TurnTriples`` is a callable CLASS for ``map_batches(..., concurrency=N)``:
-all mapper compilation (frozen ontology maps, alias maps, tokenized property
-indexes) happens once per actor in ``__init__``; per batch the work is
-vectorized masking + per-record deterministic KG construction (JSON payloads
-are inherently row-shaped, so the inner loop is a tight Python loop over the
-tool-turns of the batch only — user/assistant turns never leave Arrow).
+``turn_triples_fn`` runs as a stateless ``map_batches`` task. All mapper
+compilation (frozen ontology maps, alias maps, tokenized property indexes)
+happens once per worker process, in the ``__init__`` of the stage class it
+is given (``TurnTriples`` by default; the validating, coverage and JSON-LD
+stages share the same form). Per batch the work is vectorized masking +
+per-record deterministic KG construction (JSON payloads are inherently
+row-shaped, so the inner loop is a tight Python loop over the tool-turns
+of the batch only — user/assistant turns never leave Arrow). Each stage
+class is also the single-batch API: ``TurnTriples()(batch)``.
 
 Output schema:
     subj, pred, obj, obj_dt: string   (the triple + xsd/@id datatype tag)
@@ -27,6 +30,7 @@ from ..config import (
 )
 from ..functions.jsonx import loads_fast
 from ..functions.naming import slugify, to_camel_case
+from ..functions.process_cache import process_stage
 from ..kg.custom_facets import generate_custom_facets
 from ..kg.mapper import ArtifactMapper
 from ..kg.records import extract_records
@@ -45,26 +49,18 @@ TRIPLES_SCHEMA = pa.schema(
 )
 
 
-_PROCESS_STAGE: "TurnTriples | None" = None
-
-
-def turn_triples_fn(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of the triple stage.
-
-    The compiled mapper state is cheap (<1 ms) and deterministic, so it can
-    live in a per-worker-process global instead of an actor: Ray tasks reuse
-    warm worker processes, which removes actor-pool ramp-up from the
-    critical path and lets the scheduler run the stage fully elastically.
-    Use the ``TurnTriples`` class form when injecting custom ontology maps.
+def turn_triples_fn(batch: pa.Table, stage: type | None = None) -> pa.Table:
+    """Run ``stage`` (default ``TurnTriples``) on one batch as a stateless
+    task. The compiled stage is cheap (<1 ms) and deterministic, so it lives
+    in a per-worker-process cache instead of an actor: Ray tasks reuse warm
+    worker processes, so no pool ramps up, and the scheduler runs the stage
+    fully elastically. Pass the class through ``fn_kwargs={"stage": ...}``.
     """
-    global _PROCESS_STAGE
-    if _PROCESS_STAGE is None:
-        _PROCESS_STAGE = TurnTriples()
-    return _PROCESS_STAGE(batch)
+    return process_stage(stage or TurnTriples)(batch)
 
 
 class CoverageStats:
-    """Actor stage: per-record field-coverage rows (artifact_type, total,
+    """Stage: per-record field-coverage rows (artifact_type, total,
     mapped, unmapped) — the A1 coverage aggregate's map side; follow with a
     groupby(artifact_type) sum (see pipelines.kg.coverage_by_artifact_type)."""
 
@@ -106,7 +102,7 @@ class CoverageStats:
 class TurnTriples:
     def __init__(self, ontology_maps: dict | None = None):
         self.ontology_maps = ontology_maps or ONTOLOGY_MAPS
-        # Frozen-map mappers compiled once per actor.
+        # Frozen-map mappers compiled once per stage instance.
         self._mappers: dict[str, ArtifactMapper] = {
             atype: ArtifactMapper(omap) for atype, omap in self.ontology_maps.items()
         }

@@ -1,5 +1,7 @@
 """Validating KG stage: triple construction + SHACL-lite + fidelity checks
-+ one bounded correction pass, in a single actor sweep (no cluster loops).
++ one bounded correction pass, in a single map pass (no cluster loops). It
+runs as the stateless task ``turn_triples_fn`` with
+``fn_kwargs={"stage": ValidatingTurnTriples}``.
 
 The reference's validate -> invalidate -> replan -> regenerate control loop
 (``graph.py:117-143``, MAX_VALIDATION_ATTEMPTS=3 / MAX_HALLUCINATION=2,

@@ -38,7 +38,7 @@ def test_jsonld_stage_over_transcripts():
     from case_uco_ontology_map_ray.sources.transcripts import conversations_table
 
     ds = rd.from_arrow(conversations_table(range(4), 12))
-    out = jsonld_from_transcripts(ds, concurrency=2).to_pandas()
+    out = jsonld_from_transcripts(ds).to_pandas()
     assert len(out) > 0
     doc = json.loads(out.jsonld.iloc[0])
     assert "@context" in doc and "@graph" in doc

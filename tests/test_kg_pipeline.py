@@ -133,13 +133,13 @@ def test_incremental_triples_union_equals_full_rebuild():
 
     tab = conversations_table(range(8), 10)
     ds = rd.from_arrow(tab)
-    full = triples_from_transcripts(ds, concurrency=2).to_pandas()
+    full = triples_from_transcripts(ds).to_pandas()
 
     convs = sorted(set(tab.column("conv_id").to_pylist()))
     prior_set = convs[::2]
     prior = rd.from_arrow(pa.table({"conv_id": pa.array(prior_set, pa.string())}))
     prior_triples = full[full.conv_id.isin(prior_set)]
-    delta = incremental_triples(ds, prior, concurrency=2).to_pandas()
+    delta = incremental_triples(ds, prior).to_pandas()
 
     # the delta covers exactly the non-prior conversations...
     assert set(delta.conv_id) == set(convs) - set(prior_set)

@@ -13,7 +13,7 @@ def _triples_ds(n_convs=6):
     import ray.data as rd
 
     tab = conversations_table(range(n_convs), 12)
-    return triples_from_transcripts(rd.from_arrow(tab), concurrency=2)
+    return triples_from_transcripts(rd.from_arrow(tab))
 
 
 def test_normalize_path_unifies_mft_and_prefetch_forms():

@@ -1,6 +1,6 @@
 """scripts/run_pipeline.py main(), run in-process: the one-pass job writes
 what the separate library calls compute, and leaves its caller's Ray
-session up."""
+session up with every CPU free."""
 
 import importlib.util
 import json
@@ -141,3 +141,53 @@ def test_resume_validate_is_rejected(tmp_path, monkeypatch, capsys):
     assert exc.value.code != 0
     assert "--validate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _free_cpus_within(total, seconds):
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + seconds
+    while True:
+        free = ray.available_resources().get("CPU", 0.0)
+        if free >= total or time.monotonic() > deadline:
+            return free
+        time.sleep(0.1)
+
+
+def test_job_leaves_every_cpu_free(transcripts, tmp_path, monkeypatch):
+    """No stage of the job holds a CPU once main() returns. With the cyclic
+    garbage collector off, the session's 4 CPUs are free again within
+    seconds: an actor pool kept one until a collection freed it, and the
+    next job waited for it."""
+    import gc
+
+    import ray
+
+    assert ray.cluster_resources()["CPU"] == 4
+    gc.collect()  # what earlier tests left behind, not this job
+    assert _free_cpus_within(4, 10) == 4, "CPUs held before the job"
+    gc.disable()
+    try:
+        _run(monkeypatch, "--input", transcripts, "--output", str(tmp_path / "out"),
+             "--validate", "--canonicalize")
+        assert _free_cpus_within(4, 5) == 4
+    finally:
+        gc.enable()
+
+
+def test_validated_triples_match_the_stage_on_one_batch(transcripts):
+    """The task form of validation gives the rows, violation codes included,
+    of the validating stage called on the whole input as one batch."""
+    import pyarrow.dataset as pds
+
+    from case_uco_ontology_map_ray.pipelines.kg import (
+        TRIPLE_INPUT_COLUMNS, validated_triples)
+    from case_uco_ontology_map_ray.stages.validate_stage import ValidatingTurnTriples
+
+    table = pds.dataset(transcripts).to_table(columns=TRIPLE_INPUT_COLUMNS)
+    direct = ValidatingTurnTriples()(table).to_pandas()
+    via_tasks = validated_triples(transcripts).to_pandas()
+    assert (direct.violation != "").any()
+    assert _rows(via_tasks, list(direct.columns)) == _rows(direct)

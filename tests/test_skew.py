@@ -45,7 +45,7 @@ def test_skewed_conversation_pipeline_and_salted_stats():
     n_hot = sum(1 for c in tab["conv_id"].to_pylist() if c == "conv-00000000")
     assert n_hot == 2400  # the hot key dominates the table
 
-    triples = triples_from_transcripts(rd.from_arrow(tab), concurrency=2)
+    triples = triples_from_transcripts(rd.from_arrow(tab))
     distinct = distinct_triples(triples).to_pandas()
     # hot conversation has heavy duplication (small payload space); dedup
     # must collapse it without error and keep one rdf:type per subject
@@ -54,10 +54,10 @@ def test_skewed_conversation_pipeline_and_salted_stats():
 
     # salted per-conversation distinct counts equal the unsalted truth
     stats = conversation_entity_stats(
-        triples_from_transcripts(rd.from_arrow(tab), concurrency=2), salt_k=8
+        triples_from_transcripts(rd.from_arrow(tab)), salt_k=8
     )
     m = mentions_from_triples(
-        triples_from_transcripts(rd.from_arrow(tab), concurrency=2)
+        triples_from_transcripts(rd.from_arrow(tab))
     ).to_pandas()
     truth = m.groupby("conv_id").pid.nunique().to_dict()
     got = dict(zip(stats.conv_id, stats.n_entities))
