@@ -1,7 +1,7 @@
 """End-to-end KG construction pipeline: transcripts -> triples (-> parquet).
 
 Ray-Data-first shape (SURVEY.md §7.1 step 3):
-    read_parquet (columns pruned)
+    read_kg (read_parquet, columns pruned, no per-operator reservation)
       -> map_batches(turn_triples_fn stateless tasks, batch_format='pyarrow')
       -> [optional] write_parquet (partitioned, resumable)
 
@@ -12,21 +12,38 @@ triples, so the pipeline is idempotent and restart-safe.
 
 from __future__ import annotations
 
+import json
+
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
+from ..functions.fingerprint import record_fingerprint
 from ..functions.jsonx import loads_fast
-from ..stages.kg_stage import turn_triples_fn
+from ..functions.process_cache import process_stage
+from ..kg.records import extract_records
+from ..stages.kg_stage import TurnTriples, turn_triples_fn
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # Columns the triple stage actually needs — pruned at the read.
 TRIPLE_INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
 
 
-def _transcripts(source: "str | rd.Dataset") -> rd.Dataset:
-    if isinstance(source, str):
-        return rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    return source
+def read_kg(paths: "str | list[str]", columns: list[str],
+            **read_args) -> rd.Dataset:
+    """``read_parquet`` for every KG job, scheduled at full width: Ray
+    Data's resource reservation splits the CPUs evenly among an execution's
+    operators, which holds a per-record map stage to about one task on a
+    small cluster. Every Dataset derived from this one shares its copy of
+    the context; the caller's ``DataContext.get_current()`` is untouched."""
+    ds = rd.read_parquet(paths, columns=columns, **read_args)
+    ds.context.op_resource_reservation_enabled = False
+    return ds
+
+
+def _transcripts(source: "str | rd.Dataset",
+                 columns: list[str] = TRIPLE_INPUT_COLUMNS) -> rd.Dataset:
+    return read_kg(source, columns) if isinstance(source, str) else source
 
 
 def map_turns(source: "str | rd.Dataset", stage: type | None = None,
@@ -52,15 +69,19 @@ def triples_from_transcripts(source: "str | rd.Dataset",
 TRIPLE_KEY = ["subj", "pred", "obj", "obj_dt"]
 
 
-def _local_dedup(t: "pa.Table") -> "pa.Table":
-    """Arrow hash-dedup on the triple key keeping the smallest lineage."""
-    # decode dictionary columns: arrow's hash_min kernel (and downstream
-    # cross-block schema unification) needs plain strings
+def _plain_strings(t: "pa.Table") -> "pa.Table":
+    """Decode dictionary columns: arrow's hash_min kernel (and downstream
+    cross-block schema unification) needs plain strings."""
     for i, field in enumerate(t.schema):
         if pa.types.is_dictionary(field.type):
             t = t.set_column(i, pa.field(field.name, field.type.value_type),
                              t.column(i).cast(field.type.value_type))
-    agg = t.group_by(TRIPLE_KEY).aggregate(
+    return t
+
+
+def _local_dedup(t: "pa.Table") -> "pa.Table":
+    """Arrow hash-dedup on the triple key keeping the smallest lineage."""
+    agg = _plain_strings(t).group_by(TRIPLE_KEY).aggregate(
         [("conv_id", "min"), ("turn_idx", "min"),
          ("artifact_type", "min"), ("record_fp", "min")]
     )
@@ -77,7 +98,6 @@ def _subj_partition(t: "pa.Table", num_parts: int) -> "pa.Table":
     the hex pair without a Python loop.
     """
     import numpy as np
-    import pyarrow.compute as pc
 
     pref = pc.utf8_slice_codeunits(t.column("subj"), 0, 2)
     b = pref.combine_chunks().to_numpy(zero_copy_only=False).astype("S2")
@@ -114,113 +134,110 @@ def distinct_triples(triples: rd.Dataset, num_parts: int = 256) -> rd.Dataset:
     return parted.groupby("__part").map_groups(finish, batch_format="pyarrow")
 
 
+def _extract_fp(t: "pa.Table", num_parts: int) -> "pa.Table":
+    """Tool turns -> one row per record: (fingerprint, its 60-bit head as
+    int64, record JSON, lineage), collapsed to min lineage per fingerprint
+    within the batch and tagged with its partition ``fp_int % num_parts``."""
+    mask = pc.and_(pc.equal(t.column("role"), "tool"),
+                   pc.not_equal(t.column("text"), ""))
+    tool_turns = t.filter(mask)
+    fps, fp_ints, recs, lins = [], [], [], []
+    for text, conv, turn in zip(tool_turns.column("text").to_pylist(),
+                                tool_turns.column("conv_id").to_pylist(),
+                                tool_turns.column("turn_idx").to_pylist()):
+        try:
+            payload = loads_fast(text)
+        except (ValueError, TypeError):
+            continue
+        for record in extract_records(payload):
+            fp = record_fingerprint(record)
+            fps.append(fp)
+            fp_ints.append(int(fp[:15], 16))  # 60-bit head, plenty for routing
+            # INSERTION order, not sort_keys: property routing is
+            # key-order-sensitive (last field matching a property wins,
+            # ref uuid_planner.py:136-191) — e.g. EVTX's Level vs the
+            # flattened artifact_type both match eventType. The
+            # fingerprint above is canonical (sorted) regardless.
+            recs.append(json.dumps(record))
+            lins.append(f"{conv}#{turn:010d}")
+    t2 = pa.table({
+        "fp": pa.array(fps, pa.string()),
+        "fp_int": pa.array(fp_ints, pa.int64()),
+        "record": pa.array(recs, pa.string()),
+        "lineage": pa.array(lins, pa.string()),
+    })
+    agg = t2.group_by(["fp", "fp_int"]).aggregate(
+        [("record", "min"), ("lineage", "min")]
+    )
+    agg = agg.rename_columns(["fp", "fp_int", "record", "lineage"])
+    part = pc.bit_wise_and(agg.column("fp_int"),
+                           pa.scalar(num_parts - 1, pa.int64()))
+    return agg.append_column("__part", part.cast(pa.int32()))
+
+
+def _finish_records(g: "pa.Table") -> "pa.Table":
+    """One fingerprint partition -> the triples of its unique records, with
+    the worker process's ``TurnTriples`` (its mappers stay warm across
+    tasks)."""
+    agg = g.drop_columns(["__part"]).group_by(["fp", "fp_int"]).aggregate(
+        [("record", "min"), ("lineage", "min")]
+    )
+    agg = agg.rename_columns(["fp", "fp_int", "record", "lineage"])
+    stage = process_stage(TurnTriples)
+    subj, pred, obj, dt = [], [], [], []
+    convs, turns, atypes, fps_out = [], [], [], []
+    for rec_json, lineage, fp in zip(agg.column("record").to_pylist(),
+                                     agg.column("lineage").to_pylist(),
+                                     agg.column("fp").to_pylist()):
+        record = loads_fast(rec_json)
+        atype = record.get("artifact_type")
+        mapper = stage._mapper_for(atype, record)
+        _, n = mapper.process_record_into(record, subj, pred, obj, dt, fp=fp)
+        conv, _, turn = lineage.partition("#")
+        convs.extend([conv] * n)
+        turns.extend([int(turn)] * n)
+        atypes.extend([atype or ""] * n)
+        fps_out.extend([fp] * n)
+    return pa.table({
+        "subj": pa.array(subj, pa.string()),
+        "pred": pa.array(pred, pa.string()),
+        "obj": pa.array(obj, pa.string()),
+        "obj_dt": pa.array(dt, pa.string()),
+        "conv_id": pa.array(convs, pa.string()),
+        "turn_idx": pa.array(turns, pa.int32()),
+        "artifact_type": pa.array(atypes, pa.string()),
+        "record_fp": pa.array(fps_out, pa.string()),
+    })
+
+
 def distinct_triples_by_record(source: "str | rd.Dataset",
                                num_parts: int = 64,
                                batch_size: int = 2048) -> rd.Dataset:
     """Exact-dedup triples by deduplicating RECORDS before triple expansion.
 
-    A record deterministically yields its full triple set (uuid5), so
-    record-level dedup on the fingerprint is equivalent to triple-level
-    dedup — but the shuffle moves one row per record (~1/10th the rows and
-    none of the 11x triple strings):
+    A record deterministically yields its full triple set (uuid5), so the
+    shuffle can move one row per record (~1/10th the rows and none of the
+    11x triple strings) instead of the triples:
 
       tool turns -> (fp head as int64, payload, min lineage)  [local dedup]
         -> groupby(fp % parts) -> per-partition arrow dedup
         -> triple construction on unique records only
 
     Lineage = lexicographically smallest (conv_id#turn_idx) among the
-    duplicate occurrences, matching distinct_triples (verified in tests).
+    duplicate occurrences.
+
+    Not yet equal to ``distinct_triples`` when one record occurs with its
+    keys in different orders: the fingerprint sorts the keys, but property
+    routing follows insertion order, so triple-level dedup keeps the union
+    of the variants' triples while this keeps only the variant with the
+    smallest JSON, whose lineage may name another variant's turn
+    (ROADMAP.md item 4).
     """
-    import json as _json
-
-    import pyarrow.compute as pc
-
-    from ..functions.fingerprint import record_fingerprint
-    from ..kg.records import extract_records
-    from ..stages.kg_stage import TurnTriples
-
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=TRIPLE_INPUT_COLUMNS)
-    else:
-        ds = source
-
-    def extract_fp(t: "pa.Table") -> "pa.Table":
-        mask = pc.and_(pc.equal(t.column("role"), "tool"),
-                       pc.not_equal(t.column("text"), ""))
-        tool_turns = t.filter(mask)
-        fps, fp_ints, recs, lins = [], [], [], []
-        for text, conv, turn in zip(tool_turns.column("text").to_pylist(),
-                                    tool_turns.column("conv_id").to_pylist(),
-                                    tool_turns.column("turn_idx").to_pylist()):
-            try:
-                payload = loads_fast(text)
-            except (ValueError, TypeError):
-                continue
-            for record in extract_records(payload):
-                fp = record_fingerprint(record)
-                fps.append(fp)
-                fp_ints.append(int(fp[:15], 16))  # 60-bit head, plenty for routing
-                # INSERTION order, not sort_keys: property routing is
-                # key-order-sensitive (last field matching a property wins,
-                # ref uuid_planner.py:136-191) — e.g. EVTX's Level vs the
-                # flattened artifact_type both match eventType. The
-                # fingerprint above is canonical (sorted) regardless.
-                recs.append(_json.dumps(record))
-                lins.append(f"{conv}#{turn:010d}")
-        t2 = pa.table({
-            "fp": pa.array(fps, pa.string()),
-            "fp_int": pa.array(fp_ints, pa.int64()),
-            "record": pa.array(recs, pa.string()),
-            "lineage": pa.array(lins, pa.string()),
-        })
-        # local combiner: min lineage per fingerprint within the batch
-        agg = t2.group_by(["fp", "fp_int"]).aggregate(
-            [("record", "min"), ("lineage", "min")]
-        )
-        agg = agg.rename_columns(["fp", "fp_int", "record", "lineage"])
-        part = pc.bit_wise_and(agg.column("fp_int"),
-                               pa.scalar(num_parts - 1, pa.int64()))
-        return agg.append_column("__part", part.cast(pa.int32()))
-
-    pre = ds.map_batches(extract_fp, batch_format="pyarrow", batch_size=batch_size)
-
-    stage_holder: dict = {}
-
-    def finish(g: "pa.Table") -> "pa.Table":
-        agg = g.drop_columns(["__part"]).group_by(["fp", "fp_int"]).aggregate(
-            [("record", "min"), ("lineage", "min")]
-        )
-        agg = agg.rename_columns(["fp", "fp_int", "record", "lineage"])
-        stage = stage_holder.get("s")
-        if stage is None:
-            stage = stage_holder["s"] = TurnTriples()
-        subj, pred, obj, dt = [], [], [], []
-        convs, turns, atypes, fps_out = [], [], [], []
-        for rec_json, lineage, fp in zip(agg.column("record").to_pylist(),
-                                         agg.column("lineage").to_pylist(),
-                                         agg.column("fp").to_pylist()):
-            record = loads_fast(rec_json)
-            atype = record.get("artifact_type")
-            mapper = stage._mapper_for(atype, record)
-            _, n = mapper.process_record_into(record, subj, pred, obj, dt,
-                                              fp=fp)
-            conv, _, turn = lineage.partition("#")
-            convs.extend([conv] * n)
-            turns.extend([int(turn)] * n)
-            atypes.extend([atype or ""] * n)
-            fps_out.extend([fp] * n)
-        return pa.table({
-            "subj": pa.array(subj, pa.string()),
-            "pred": pa.array(pred, pa.string()),
-            "obj": pa.array(obj, pa.string()),
-            "obj_dt": pa.array(dt, pa.string()),
-            "conv_id": pa.array(convs, pa.string()),
-            "turn_idx": pa.array(turns, pa.int32()),
-            "artifact_type": pa.array(atypes, pa.string()),
-            "record_fp": pa.array(fps_out, pa.string()),
-        })
-
-    return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
+    pre = _transcripts(source).map_batches(
+        _extract_fp, fn_kwargs={"num_parts": num_parts},
+        batch_format="pyarrow", batch_size=batch_size)
+    return pre.groupby("__part").map_groups(_finish_records,
+                                            batch_format="pyarrow")
 
 
 def validated_triples(source: "str | rd.Dataset",
@@ -283,11 +300,7 @@ def node_counts_by_artifact_type(triples: rd.Dataset, num_parts: int = 64):
     from ..ops.agg import grouped_sums
 
     def local(t: "pa.Table") -> "pa.Table":
-        for i, field in enumerate(t.schema):
-            if pa.types.is_dictionary(field.type):
-                t = t.set_column(i, pa.field(field.name, field.type.value_type),
-                                 t.column(i).cast(field.type.value_type))
-        pairs = (t.select(["artifact_type", "subj"])
+        pairs = (_plain_strings(t).select(["artifact_type", "subj"])
                  .group_by(["artifact_type", "subj"]).aggregate([]))
         return _subj_partition(pairs, num_parts)
 
@@ -333,12 +346,7 @@ def literal_value_counts(triples: rd.Dataset) -> "pd.DataFrame":
     from ..ops.agg import grouped_sums
 
     def lit(t: "pa.Table") -> "pa.Table":
-        for i, field in enumerate(t.schema):
-            if pa.types.is_dictionary(field.type):
-                t = t.set_column(i, pa.field(field.name, field.type.value_type),
-                                 t.column(i).cast(field.type.value_type))
-        import pyarrow.compute as pc
-
+        t = _plain_strings(t)
         mask = pc.not_equal(t.column("obj_dt"), "@id")
         return t.filter(mask).select(["artifact_type", "pred", "obj"])
 
@@ -364,21 +372,13 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
     Precedence matches TurnTriples._mapper_for: a type the deterministic
     auto-mapper (ontology/automap.py) maps to real UCO classes never reaches
     the dfc-ext path, so it emits no custom facet here either."""
-    import json as _json
-
     import pandas as pd
-    import pyarrow.compute as pc
 
     from ..config import FALLBACK_ONTOLOGY_MAP, ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
     from ..kg.custom_facets import generate_custom_facets
     from ..kg.mapper import ArtifactMapper
-    from ..kg.records import extract_records
 
-    if isinstance(source, str):
-        ds = rd.read_parquet(source, columns=["role", "text"])
-    else:
-        ds = source
-
+    ds = _transcripts(source, ["role", "text"])
     known = set(ONTOLOGY_MAPS)
 
     def sigs(t: "pa.Table") -> "pa.Table":
@@ -397,8 +397,8 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
                 fields = tuple(sorted(k for k in record
                                       if k not in RESERVED_RECORD_KEYS))
                 atypes.append(atype or "")
-                sig_rows.append(_json.dumps(fields))
-                samples.append(_json.dumps(record, sort_keys=True))
+                sig_rows.append(json.dumps(fields))
+                samples.append(json.dumps(record, sort_keys=True))
         t2 = pa.table({"artifact_type": pa.array(atypes, pa.string()),
                        "field_sig": pa.array(sig_rows, pa.string()),
                        "sample": pa.array(samples, pa.string())})
@@ -428,7 +428,7 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
         if not custom:
             return empty
         facet_name = next(iter(custom["facetDefinitions"]))
-        props = _json.dumps(custom["facetDefinitions"][facet_name]["properties"],
+        props = json.dumps(custom["facetDefinitions"][facet_name]["properties"],
                             sort_keys=True)
         return pd.DataFrame({"artifact_type": [atype], "facet_name": [facet_name],
                              "properties": [props], "ttl": [ttl]})
@@ -440,8 +440,7 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
 def sorted_turns(source: "str | rd.Dataset") -> rd.Dataset:
     """Stable (conv_id, turn_idx) ordering of transcript turns — the per-turn
     text-equality invariant's ordering contract (BASELINE.json input_hint)."""
-    ds = rd.read_parquet(source, columns=TRANSCRIPT_COLUMNS) if isinstance(source, str) else source
-    return ds.sort(["conv_id", "turn_idx"])
+    return _transcripts(source, TRANSCRIPT_COLUMNS).sort(["conv_id", "turn_idx"])
 
 
 def write_triples(triples: rd.Dataset, out_dir: str, min_rows_per_file: int = 200_000):

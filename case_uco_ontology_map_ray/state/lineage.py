@@ -109,13 +109,10 @@ def run_resumable(
 
 def triples_resumable(input_dir: str, out_dir: str, chunk_files: int = 32) -> dict:
     """Resumable transcripts -> triples run (the flagship pipeline)."""
-    import ray.data as rd
-
-    from ..pipelines.kg import TRIPLE_INPUT_COLUMNS, triples_from_transcripts
+    from ..pipelines.kg import TRIPLE_INPUT_COLUMNS, read_kg, triples_from_transcripts
 
     def build(files: list[str]):
-        ds = rd.read_parquet(files, columns=TRIPLE_INPUT_COLUMNS)
-        return triples_from_transcripts(ds)
+        return triples_from_transcripts(read_kg(files, TRIPLE_INPUT_COLUMNS))
 
     return run_resumable(input_dir, out_dir, build, chunk_files,
                          config={"pipeline": "triples_v1"})

@@ -20,8 +20,10 @@ transcripts (never empty by construction) and are excluded.
 import os
 import sys
 import traceback
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 import pyarrow.parquet as pq
 
@@ -40,7 +42,9 @@ def main():
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+             ignore_reinit_error=True, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(
+                 filter(None, [str(ROOT), os.environ.get("PYTHONPATH")]))}})
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False
@@ -62,7 +66,7 @@ def main():
         except Exception as ex:
             fails += 1
             tb = traceback.format_exc().splitlines()
-            loc = next((ln for ln in reversed(tb) if "/root/repo/" in ln), "?")
+            loc = next((ln for ln in reversed(tb) if f"{ROOT}/" in ln), "?")
             print(f"[EMPTY-FAIL] {name}: {type(ex).__name__}: "
                   f"{str(ex)[:120]} @ {loc.strip()[:120]}")
     ray.shutdown()

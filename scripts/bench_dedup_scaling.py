@@ -18,8 +18,10 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 N_DOCS = int(os.environ.get("DEDUP_BENCH_DOCS", "100000"))
 CORPUS = f"/tmp/cuomr_synth/dedup_bench_{N_DOCS}"
@@ -67,7 +69,9 @@ def child(ncpu: int) -> None:
     import ray
 
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
-             logging_level="ERROR")
+             logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(
+                 filter(None, [str(ROOT), os.environ.get("PYTHONPATH")]))}})
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False

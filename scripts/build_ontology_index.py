@@ -8,8 +8,10 @@ Usage: python scripts/build_ontology_index.py [ttl_dir]
 
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 from case_uco_ontology_map_ray.ontology.ttl_parser import extract_dir
 

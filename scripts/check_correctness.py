@@ -5,12 +5,15 @@ row-count, schema (column names), and order-insensitive values.
 Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 """
 
+import os
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -38,7 +41,9 @@ def main():
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+             ignore_reinit_error=True, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(
+                 filter(None, [str(ROOT), os.environ.get("PYTHONPATH")]))}})
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False

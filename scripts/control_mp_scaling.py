@@ -25,8 +25,10 @@ import json
 import multiprocessing as mp
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 
 def work(args) -> int:

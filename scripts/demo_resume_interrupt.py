@@ -26,7 +26,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 INPUT = sys.argv[1] if len(sys.argv) > 1 else "/tmp/cuomr_synth/bench_g3_20000x12"
 KILL_AFTER = int(sys.argv[2]) if len(sys.argv) > 2 else 2
@@ -36,10 +37,11 @@ OUT_CLEAN = "/tmp/cuomr_resume_demo/clean"
 
 CHILD_CODE = """
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, {root!r})
 import ray
 ray.init(address="local", num_cpus=16, include_dashboard=False,
-         logging_level="ERROR")
+         logging_level="ERROR",
+         runtime_env={{"env_vars": {{"PYTHONPATH": {root!r}}}}})
 import ray.data as rd
 rd.DataContext.get_current().enable_progress_bars = False
 from case_uco_ontology_map_ray.state.lineage import triples_resumable
@@ -53,7 +55,7 @@ ray.shutdown()
 def run_child(out_dir: str, kill_after: int | None) -> dict:
     """Run the resumable job in a child process; if ``kill_after`` is set,
     SIGKILL the whole process group once that many manifests are committed."""
-    code = CHILD_CODE.format(input=INPUT, out=out_dir, chunk_files=CHUNK_FILES)
+    code = CHILD_CODE.format(root=str(ROOT), input=INPUT, out=out_dir, chunk_files=CHUNK_FILES)
     child = subprocess.Popen([sys.executable, "-c", code],
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL,

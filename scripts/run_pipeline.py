@@ -137,11 +137,12 @@ def _run(args):
             follower.join(timeout=30)
 
     if args.canonicalize:
+        from case_uco_ontology_map_ray.pipelines.kg import read_kg
         from case_uco_ontology_map_ray.pipelines.linking import canonical_entities
 
         if mention_source is None:
-            mention_source = rd.read_parquet(triples_dir, columns=MENTION_COLUMNS,
-                                             file_extensions=["parquet"])
+            mention_source = read_kg(triples_dir, MENTION_COLUMNS,
+                                     file_extensions=["parquet"])
         entity, link = canonical_entities(mention_source)
         entity.write_parquet(f"{args.output}/entities")
         link.write_parquet(f"{args.output}/entity_links")

@@ -120,6 +120,38 @@ def test_pipeline_end_to_end(tmp_path):
     )
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_kg_reads_schedule_at_full_width_in_their_own_context(tmp_path):
+    """Datasets built from a transcripts path run with Ray Data's
+    per-operator resource reservation off; the process-wide DataContext and
+    a Dataset the caller passes in keep their own setting. Lazy: nothing
+    executes."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.pipelines.kg import (
+        distinct_triples_by_record,
+        triples_from_transcripts,
+        validated_triples,
+    )
+    from case_uco_ontology_map_ray.sources.transcripts import conversations_table
+
+    builds = (triples_from_transcripts, validated_triples,
+              distinct_triples_by_record)
+    tab = conversations_table(range(2), 4)
+    pq.write_table(tab, tmp_path / "part-0.parquet")
+    before = rd.DataContext.get_current().op_resource_reservation_enabled
+    for build in builds:
+        assert build(str(tmp_path)).context.op_resource_reservation_enabled is False
+    assert rd.DataContext.get_current().op_resource_reservation_enabled is before
+
+    given = rd.from_arrow(tab)
+    own = given.context.op_resource_reservation_enabled
+    for build in builds:
+        build(given)
+    assert given.context.op_resource_reservation_enabled is own
+
+
 def test_incremental_triples_union_equals_full_rebuild():
     import pandas as pd
     import pyarrow as pa
