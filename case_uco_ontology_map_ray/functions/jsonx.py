@@ -26,12 +26,19 @@ _I64_BOUNDARY = 9.223372036854776e18
 
 
 def _has_boundary_float(o) -> bool:
-    to = type(o)
-    if to is dict:
-        return any(_has_boundary_float(v) for v in o.values())
-    if to is list:
-        return any(_has_boundary_float(v) for v in o)
-    return to is float and (o >= _I64_BOUNDARY or o <= -_I64_BOUNDARY)
+    # an explicit stack, not recursion: orjson accepts nesting deeper than
+    # Python's recursion limit leaves room for
+    stack = [o]
+    while stack:
+        o = stack.pop()
+        to = type(o)
+        if to is dict:
+            stack.extend(o.values())
+        elif to is list:
+            stack.extend(o)
+        elif to is float and (o >= _I64_BOUNDARY or o <= -_I64_BOUNDARY):
+            return True
+    return False
 
 
 def loads_fast(text):

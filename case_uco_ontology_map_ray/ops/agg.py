@@ -41,6 +41,37 @@ def round_away(x, ndigits: int):
     return out
 
 
+def plain_strings(t: pa.Table) -> pa.Table:
+    """Decode dictionary columns to their value type: Arrow's hash_min
+    kernel, Ray's sort exchange and cross-block schema unification need
+    plain keys, and a filtered dictionary column still carries (and
+    writes) its whole block's dictionary."""
+    for i, field in enumerate(t.schema):
+        if pa.types.is_dictionary(field.type):
+            t = t.set_column(i, pa.field(field.name, field.type.value_type),
+                             t.column(i).cast(field.type.value_type))
+    return t
+
+
+def _partial_sums(ds, keys: list[str], sum_cols: dict[str, str],
+                  count_col: str):
+    """Per-batch Arrow combiner, then the global groupby-sum (a Dataset)."""
+    from ray.data.aggregate import Sum
+
+    spec = [(in_col, "sum") for in_col in sum_cols.values()]
+    used = list(dict.fromkeys(keys + list(sum_cols.values())))
+
+    def combine(t: pa.Table) -> pa.Table:
+        agg = plain_strings(t.select(used)).group_by(keys).aggregate(
+            spec + [([], "count_all")])
+        return agg.rename_columns(keys + list(sum_cols.keys()) + [count_col])
+
+    partial = ds.map_batches(combine, batch_format="pyarrow")
+    aggs = [Sum(out, alias_name=out) for out in sum_cols]
+    aggs.append(Sum(count_col, alias_name=count_col))
+    return partial.groupby(keys).aggregate(*aggs)
+
+
 def grouped_sums(
     ds,
     keys: list[str],
@@ -50,22 +81,8 @@ def grouped_sums(
     """Group by ``keys``; emit Sum over each ``sum_cols[out_name] = in_col``
     plus an optional row count. Returns the (small) result as pandas.
     """
-    from ray.data.aggregate import Sum
-
     count_col = count_alias or "__cnt"
-    spec = [(in_col, "sum") for in_col in sum_cols.values()]
-
-    def combine(t: pa.Table) -> pa.Table:
-        agg = t.group_by(keys).aggregate(spec + [([], "count_all")])
-        names = keys + [f"{c}_sum" for c in sum_cols.values()] + ["count_all"]
-        # pyarrow names count_all "count_all"; normalize the layout
-        agg = agg.rename_columns(keys + list(sum_cols.keys()) + [count_col])
-        return agg
-
-    partial = ds.map_batches(combine, batch_format="pyarrow")
-    aggs = [Sum(out, alias_name=out) for out in sum_cols]
-    aggs.append(Sum(count_col, alias_name=count_col))
-    out = partial.groupby(keys).aggregate(*aggs).to_pandas()
+    out = _partial_sums(ds, keys, sum_cols, count_col).to_pandas()
     if count_col not in out.columns and out.empty:
         # Ray loses the schema of a fully-empty lineage; rebuild it so
         # callers can select/sort the expected columns (ADVICE r4 pattern).
@@ -86,19 +103,8 @@ def grouped_sums_ds(
     """``grouped_sums`` that stays a Dataset — for aggregates whose key
     cardinality is O(data) (per-order, per-customer): the result must not be
     collected; follow with ``topk_ds`` / a join / a write."""
-    from ray.data.aggregate import Sum
-
     count_col = count_alias or "__cnt"
-    spec = [(in_col, "sum") for in_col in sum_cols.values()]
-
-    def combine(t: pa.Table) -> pa.Table:
-        agg = t.group_by(keys).aggregate(spec + [([], "count_all")])
-        return agg.rename_columns(keys + list(sum_cols.keys()) + [count_col])
-
-    partial = ds.map_batches(combine, batch_format="pyarrow")
-    aggs = [Sum(out, alias_name=out) for out in sum_cols]
-    aggs.append(Sum(count_col, alias_name=count_col))
-    out = partial.groupby(keys).aggregate(*aggs)
+    out = _partial_sums(ds, keys, sum_cols, count_col)
     if count_alias is None:
         out = out.map_batches(lambda t: t.drop_columns([count_col]),
                               batch_format="pyarrow")

@@ -15,9 +15,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONTEXT
-from ..functions.jsonx import loads_fast
 from ..kg.records import extract_records
-from ..stages.kg_stage import TurnTriples
+from ..stages.kg_stage import TurnTriples, tool_records
 from .kg import map_turns
 
 
@@ -44,9 +43,8 @@ def jsonld_for_payload(payload: dict | list, stage: TurnTriples | None = None) -
     the reference's deterministic composer output."""
     stage = stage or TurnTriples()
     graph: list[dict] = []
-    atype = payload.get("artifact_type") if isinstance(payload, dict) else None
     for record in extract_records(payload):
-        mapper = stage._mapper_for(record.get("artifact_type", atype), record)
+        mapper = stage._mapper_for(record.get("artifact_type"), record)
         _fp, node_order, nodes = mapper.compose_nodes(record)
         graph.extend(nodes_to_graph(node_order, nodes))
     return {"@context": DEFAULT_CONTEXT, "@graph": graph}
@@ -56,29 +54,16 @@ class TurnJsonLd(TurnTriples):
     """Stage: tool turns -> one JSON-LD document row per record."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.equal(batch.column("role"), pa.scalar("tool")),
-            pc.not_equal(batch.column("text"), pa.scalar("")),
-        )
-        tool_turns = batch.filter(mask)
         fps, docs, convs, turns = [], [], [], []
-        for text, conv, turn in zip(tool_turns.column("text").to_pylist(),
-                                    tool_turns.column("conv_id").to_pylist(),
-                                    tool_turns.column("turn_idx").to_pylist()):
-            try:
-                payload = loads_fast(text)
-            except (json.JSONDecodeError, TypeError):
-                continue
-            atype = payload.get("artifact_type") if isinstance(payload, dict) else None
-            for record in extract_records(payload):
-                mapper = self._mapper_for(record.get("artifact_type", atype), record)
-                fp, node_order, nodes = mapper.compose_nodes(record)
-                doc = {"@context": DEFAULT_CONTEXT,
-                       "@graph": nodes_to_graph(node_order, nodes)}
-                fps.append(fp)
-                docs.append(json.dumps(doc, sort_keys=True))
-                convs.append(conv)
-                turns.append(turn)
+        for conv, turn, record, atype in tool_records(batch):
+            mapper = self._mapper_for(atype, record)
+            fp, node_order, nodes = mapper.compose_nodes(record)
+            doc = {"@context": DEFAULT_CONTEXT,
+                   "@graph": nodes_to_graph(node_order, nodes)}
+            fps.append(fp)
+            docs.append(json.dumps(doc, sort_keys=True))
+            convs.append(conv)
+            turns.append(turn)
         return pa.table({
             "record_fp": pa.array(fps, pa.string()),
             "jsonld": pa.array(docs, pa.string()),

@@ -8,6 +8,11 @@ Ray-Data-first shape (SURVEY.md §7.1 step 3):
 The stage is record-local: no shuffle anywhere in triple construction.
 Determinism: uuid5 IDs mean re-running any shard reproduces identical
 triples, so the pipeline is idempotent and restart-safe.
+
+Every per-record job here (triples, validation, coverage, JSON-LD, the
+dedup fingerprint and the custom-facet signatures) reads its records from
+``stages.kg_stage.tool_records``, and every triple output, the dedup
+finish's included, is built by ``stages.kg_stage.TripleColumns``.
 """
 
 from __future__ import annotations
@@ -21,8 +26,13 @@ import ray.data as rd
 from ..functions.fingerprint import record_fingerprint
 from ..functions.jsonx import loads_fast
 from ..functions.process_cache import process_stage
-from ..kg.records import extract_records
-from ..stages.kg_stage import TurnTriples, turn_triples_fn
+from ..ops.agg import plain_strings
+from ..stages.kg_stage import (
+    TripleColumns,
+    TurnTriples,
+    tool_records,
+    turn_triples_fn,
+)
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # Columns the triple stage actually needs — pruned at the read.
@@ -69,19 +79,9 @@ def triples_from_transcripts(source: "str | rd.Dataset",
 TRIPLE_KEY = ["subj", "pred", "obj", "obj_dt"]
 
 
-def _plain_strings(t: "pa.Table") -> "pa.Table":
-    """Decode dictionary columns: arrow's hash_min kernel (and downstream
-    cross-block schema unification) needs plain strings."""
-    for i, field in enumerate(t.schema):
-        if pa.types.is_dictionary(field.type):
-            t = t.set_column(i, pa.field(field.name, field.type.value_type),
-                             t.column(i).cast(field.type.value_type))
-    return t
-
-
 def _local_dedup(t: "pa.Table") -> "pa.Table":
     """Arrow hash-dedup on the triple key keeping the smallest lineage."""
-    agg = _plain_strings(t).group_by(TRIPLE_KEY).aggregate(
+    agg = plain_strings(t).group_by(TRIPLE_KEY).aggregate(
         [("conv_id", "min"), ("turn_idx", "min"),
          ("artifact_type", "min"), ("record_fp", "min")]
     )
@@ -138,28 +138,18 @@ def _extract_fp(t: "pa.Table", num_parts: int) -> "pa.Table":
     """Tool turns -> one row per record: (fingerprint, its 60-bit head as
     int64, record JSON, lineage), collapsed to min lineage per fingerprint
     within the batch and tagged with its partition ``fp_int % num_parts``."""
-    mask = pc.and_(pc.equal(t.column("role"), "tool"),
-                   pc.not_equal(t.column("text"), ""))
-    tool_turns = t.filter(mask)
     fps, fp_ints, recs, lins = [], [], [], []
-    for text, conv, turn in zip(tool_turns.column("text").to_pylist(),
-                                tool_turns.column("conv_id").to_pylist(),
-                                tool_turns.column("turn_idx").to_pylist()):
-        try:
-            payload = loads_fast(text)
-        except (ValueError, TypeError):
-            continue
-        for record in extract_records(payload):
-            fp = record_fingerprint(record)
-            fps.append(fp)
-            fp_ints.append(int(fp[:15], 16))  # 60-bit head, plenty for routing
-            # INSERTION order, not sort_keys: property routing is
-            # key-order-sensitive (last field matching a property wins,
-            # ref uuid_planner.py:136-191) — e.g. EVTX's Level vs the
-            # flattened artifact_type both match eventType. The
-            # fingerprint above is canonical (sorted) regardless.
-            recs.append(json.dumps(record))
-            lins.append(f"{conv}#{turn:010d}")
+    for conv, turn, record, _atype in tool_records(t):
+        fp = record_fingerprint(record)
+        fps.append(fp)
+        fp_ints.append(int(fp[:15], 16))  # 60-bit head, plenty for routing
+        # INSERTION order, not sort_keys: property routing is
+        # key-order-sensitive (last field matching a property wins,
+        # ref uuid_planner.py:136-191) — e.g. EVTX's Level vs the
+        # flattened artifact_type both match eventType. The
+        # fingerprint above is canonical (sorted) regardless.
+        recs.append(json.dumps(record))
+        lins.append(f"{conv}#{turn:010d}")
     t2 = pa.table({
         "fp": pa.array(fps, pa.string()),
         "fp_int": pa.array(fp_ints, pa.int64()),
@@ -184,30 +174,16 @@ def _finish_records(g: "pa.Table") -> "pa.Table":
     )
     agg = agg.rename_columns(["fp", "fp_int", "record", "lineage"])
     stage = process_stage(TurnTriples)
-    subj, pred, obj, dt = [], [], [], []
-    convs, turns, atypes, fps_out = [], [], [], []
+    out = TripleColumns()
     for rec_json, lineage, fp in zip(agg.column("record").to_pylist(),
                                      agg.column("lineage").to_pylist(),
                                      agg.column("fp").to_pylist()):
         record = loads_fast(rec_json)
         atype = record.get("artifact_type")
-        mapper = stage._mapper_for(atype, record)
-        _, n = mapper.process_record_into(record, subj, pred, obj, dt, fp=fp)
         conv, _, turn = lineage.partition("#")
-        convs.extend([conv] * n)
-        turns.extend([int(turn)] * n)
-        atypes.extend([atype or ""] * n)
-        fps_out.extend([fp] * n)
-    return pa.table({
-        "subj": pa.array(subj, pa.string()),
-        "pred": pa.array(pred, pa.string()),
-        "obj": pa.array(obj, pa.string()),
-        "obj_dt": pa.array(dt, pa.string()),
-        "conv_id": pa.array(convs, pa.string()),
-        "turn_idx": pa.array(turns, pa.int32()),
-        "artifact_type": pa.array(atypes, pa.string()),
-        "record_fp": pa.array(fps_out, pa.string()),
-    })
+        out.add_record(stage._mapper_for(atype, record), record, conv,
+                       int(turn), atype, fp=fp)
+    return out.table()
 
 
 def distinct_triples_by_record(source: "str | rd.Dataset",
@@ -300,7 +276,7 @@ def node_counts_by_artifact_type(triples: rd.Dataset, num_parts: int = 64):
     from ..ops.agg import grouped_sums
 
     def local(t: "pa.Table") -> "pa.Table":
-        pairs = (_plain_strings(t).select(["artifact_type", "subj"])
+        pairs = (plain_strings(t).select(["artifact_type", "subj"])
                  .group_by(["artifact_type", "subj"]).aggregate([]))
         return _subj_partition(pairs, num_parts)
 
@@ -346,7 +322,7 @@ def literal_value_counts(triples: rd.Dataset) -> "pd.DataFrame":
     from ..ops.agg import grouped_sums
 
     def lit(t: "pa.Table") -> "pa.Table":
-        t = _plain_strings(t)
+        t = plain_strings(t)
         mask = pc.not_equal(t.column("obj_dt"), "@id")
         return t.filter(mask).select(["artifact_type", "pred", "obj"])
 
@@ -378,27 +354,19 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
     from ..kg.custom_facets import generate_custom_facets
     from ..kg.mapper import ArtifactMapper
 
-    ds = _transcripts(source, ["role", "text"])
+    ds = _transcripts(source)
     known = set(ONTOLOGY_MAPS)
 
     def sigs(t: "pa.Table") -> "pa.Table":
-        mask = pc.and_(pc.equal(t.column("role"), "tool"),
-                       pc.not_equal(t.column("text"), ""))
         atypes, sig_rows, samples = [], [], []
-        for text in t.filter(mask).column("text").to_pylist():
-            try:
-                payload = loads_fast(text)
-            except (ValueError, TypeError):
+        for _conv, _turn, record, atype in tool_records(t):
+            if atype in known:
                 continue
-            for record in extract_records(payload):
-                atype = record.get("artifact_type")
-                if atype in known:
-                    continue
-                fields = tuple(sorted(k for k in record
-                                      if k not in RESERVED_RECORD_KEYS))
-                atypes.append(atype or "")
-                sig_rows.append(json.dumps(fields))
-                samples.append(json.dumps(record, sort_keys=True))
+            fields = tuple(sorted(k for k in record
+                                  if k not in RESERVED_RECORD_KEYS))
+            atypes.append(atype or "")
+            sig_rows.append(json.dumps(fields))
+            samples.append(json.dumps(record, sort_keys=True))
         t2 = pa.table({"artifact_type": pa.array(atypes, pa.string()),
                        "field_sig": pa.array(sig_rows, pa.string()),
                        "sample": pa.array(samples, pa.string())})

@@ -38,6 +38,7 @@ import ray.data as rd
 from ..config import NS_ENTITY
 from ..functions.fingerprint import uuid5_str
 from ..functions.hashing import content_hash64_arrow
+from ..ops.agg import plain_strings
 from ..ops.joins import bucket_join
 
 # Triple predicates whose objects are file-path mentions.
@@ -71,8 +72,6 @@ def normalize_paths_arrow(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
         arr = arr.combine_chunks()
     if pa.types.is_dictionary(arr.type):
         arr = arr.cast(arr.type.value_type)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
     s = pc.replace_substring(arr, pattern="\\", replacement="/")
     s = pc.utf8_lower(s)
     s = pc.replace_substring_regex(s, pattern="^/+", replacement="")
@@ -95,17 +94,17 @@ def mentions_from_triples(triples: rd.Dataset) -> rd.Dataset:
         m = t.filter(mask)
         norm = normalize_paths_arrow(m.column("obj"))
         pid = (content_hash64_arrow(norm) >> np.uint64(1)).astype(np.int64)
-        conv = m.column("conv_id")
-        if pa.types.is_dictionary(conv.type):
-            conv = conv.cast(pa.string())  # arrow group_by keys need plain strings
-        return pa.table({
-            "conv_id": conv,
+        # plain strings: Arrow group_by keys need them, and a filtered
+        # dictionary column would carry its whole block's dictionary into
+        # every mention block and the link files
+        return plain_strings(pa.table({
+            "conv_id": m.column("conv_id"),
             "turn_idx": m.column("turn_idx"),
             "subj": m.column("subj"),
             "path": m.column("obj"),
             "norm_path": norm,
             "pid": pa.array(pid, pa.int64()),
-        })
+        }))
 
     return triples.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -508,10 +507,8 @@ def _conv_pid_incidence(mentions: rd.Dataset) -> rd.Dataset:
     re-uniques, the distributed forms group again)."""
 
     def inc(t: pa.Table) -> pa.Table:
-        conv = t.column("conv_id")
-        if pa.types.is_dictionary(conv.type):
-            conv = conv.cast(pa.string())
-        band = (content_hash64_arrow(conv) >> np.uint64(1)).astype(np.int64)
+        band = (content_hash64_arrow(t.column("conv_id"))
+                >> np.uint64(1)).astype(np.int64)
         d = pa.table({"band": pa.array(band, pa.int64()),
                       "pid": t.column("pid")})
         return d.group_by(["band", "pid"]).aggregate([])
@@ -1038,11 +1035,8 @@ def entity_timeline(triples: rd.Dataset, transcripts_source: "str | rd.Dataset",
     mentions = mentions_from_triples(triples)
 
     def mkey(t: pa.Table) -> pa.Table:
-        conv = t.column("conv_id")
-        if pa.types.is_dictionary(conv.type):
-            conv = conv.cast(pa.string())
         return pa.table({
-            "__k": key_of(conv, t.column("turn_idx")),
+            "__k": key_of(t.column("conv_id"), t.column("turn_idx")),
             "pid": t.column("pid"),
         })
 
@@ -1055,11 +1049,8 @@ def entity_timeline(triples: rd.Dataset, transcripts_source: "str | rd.Dataset",
         turns = transcripts_source.select_columns(["conv_id", "turn_idx", "ts"])
 
     def tkey(t: pa.Table) -> pa.Table:
-        conv = t.column("conv_id")
-        if pa.types.is_dictionary(conv.type):
-            conv = conv.cast(pa.string())
         hour = pc.floor_temporal(t.column("ts"), unit="hour")
-        return pa.table({"__k": key_of(conv, t.column("turn_idx")),
+        return pa.table({"__k": key_of(t.column("conv_id"), t.column("turn_idx")),
                          "hour": hour})
 
     right = turns.map_batches(tkey, batch_format="pyarrow")

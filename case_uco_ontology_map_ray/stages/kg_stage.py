@@ -4,21 +4,27 @@
 compilation (frozen ontology maps, alias maps, tokenized property indexes)
 happens once per worker process, in the ``__init__`` of the stage class it
 is given (``TurnTriples`` by default; the validating, coverage and JSON-LD
-stages share the same form). Per batch the work is vectorized masking +
-per-record deterministic KG construction (JSON payloads are inherently
-row-shaped, so the inner loop is a tight Python loop over the tool-turns
-of the batch only — user/assistant turns never leave Arrow). Each stage
-class is also the single-batch API: ``TurnTriples()(batch)``.
+stages share the same form). Each stage class is also the single-batch API:
+``TurnTriples()(batch)``.
 
-Output schema:
-    subj, pred, obj, obj_dt: string   (the triple + xsd/@id datatype tag)
-    conv_id: string, turn_idx: int32  (lineage back to the source turn)
-    artifact_type: string, record_fp: string (fingerprint; dedup/canonical key)
+Every KG stage reads its records from one iterator, ``tool_records``: it
+masks the tool turns (user/assistant turns never leave Arrow), parses each
+turn's JSON once and fans the payload out into flat records, skipping text
+that does not parse. Every stage that emits triples fills one
+``TripleColumns``, which owns the lineage fan-out and the Arrow layout.
+
+Output schema (one per stage, whatever the batch holds):
+    subj, pred, obj, obj_dt           (the triple + xsd/@id datatype tag)
+    conv_id, turn_idx: int32          (lineage back to the source turn)
+    artifact_type, record_fp          (fingerprint; dedup/canonical key)
+    [violation]                       (validating stage only)
+All strings; every column but obj, turn_idx and violation is
+dictionary-encoded.
 """
 
 from __future__ import annotations
 
-import json
+from typing import Iterator
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -35,18 +41,23 @@ from ..kg.custom_facets import generate_custom_facets
 from ..kg.mapper import ArtifactMapper
 from ..kg.records import extract_records
 
-TRIPLES_SCHEMA = pa.schema(
-    [
-        pa.field("subj", pa.string()),
-        pa.field("pred", pa.string()),
-        pa.field("obj", pa.string()),
-        pa.field("obj_dt", pa.string()),
-        pa.field("conv_id", pa.string()),
-        pa.field("turn_idx", pa.int32()),
-        pa.field("artifact_type", pa.string()),
-        pa.field("record_fp", pa.string()),
-    ]
-)
+
+def tool_records(batch: pa.Table) -> Iterator[tuple[str, int, dict, "str | None"]]:
+    """Yield ``(conv_id, turn_idx, record, artifact_type)`` for every record
+    of every non-empty tool turn of ``batch``, in batch order. Text that does
+    not parse (malformed, or nested past the parser's depth) is skipped."""
+    mask = pc.and_(pc.equal(batch.column("role"), "tool"),
+                   pc.not_equal(batch.column("text"), ""))
+    tool_turns = batch.filter(mask)
+    for text, conv_id, turn_idx in zip(tool_turns.column("text").to_pylist(),
+                                       tool_turns.column("conv_id").to_pylist(),
+                                       tool_turns.column("turn_idx").to_pylist()):
+        try:
+            payload = loads_fast(text)
+        except (ValueError, TypeError, RecursionError):
+            continue
+        for record in extract_records(payload):
+            yield conv_id, turn_idx, record, record.get("artifact_type")
 
 
 def turn_triples_fn(batch: pa.Table, stage: type | None = None) -> pa.Table:
@@ -59,47 +70,76 @@ def turn_triples_fn(batch: pa.Table, stage: type | None = None) -> pa.Table:
     return process_stage(stage or TurnTriples)(batch)
 
 
-class CoverageStats:
-    """Stage: per-record field-coverage rows (artifact_type, total,
-    mapped, unmapped) — the A1 coverage aggregate's map side; follow with a
-    groupby(artifact_type) sum (see pipelines.kg.coverage_by_artifact_type)."""
+def _dict_strings(values: list) -> pa.Array:
+    return pa.array(values, pa.string()).dictionary_encode()
 
-    def __init__(self, ontology_maps: dict | None = None):
-        self._inner = TurnTriples(ontology_maps)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..kg.mapping_tables import coverage_stats
+class TripleColumns:
+    """Column lists of one output block of triples. Each record's triples
+    carry its lineage (conv_id, turn_idx, artifact_type, record_fp)."""
 
-        mask = pc.and_(
-            pc.equal(batch.column("role"), pa.scalar("tool")),
-            pc.not_equal(batch.column("text"), pa.scalar("")),
-        )
-        tool_turns = batch.filter(mask)
-        atypes, totals, mapped, unmapped = [], [], [], []
-        for text in tool_turns.column("text").to_pylist():
-            try:
-                payload = loads_fast(text)
-            except (json.JSONDecodeError, TypeError):
-                continue
-            atype = payload.get("artifact_type") if isinstance(payload, dict) else None
-            for record in extract_records(payload):
-                r_atype = record.get("artifact_type", atype)
-                mapper = self._inner._mapper_for(r_atype, record)
-                un = mapper.unmapped_fields(record, reserved=RESERVED_RECORD_KEYS)
-                st = coverage_stats(record, un, RESERVED_RECORD_KEYS)
-                atypes.append(r_atype or "")
-                totals.append(st["totalFields"])
-                mapped.append(st["mappedFields"])
-                unmapped.append(st["unmappedFields"])
-        return pa.table({
-            "artifact_type": pa.array(atypes, pa.string()),
-            "total_fields": pa.array(totals, pa.int64()),
-            "mapped_fields": pa.array(mapped, pa.int64()),
-            "unmapped_fields": pa.array(unmapped, pa.int64()),
-        })
+    def __init__(self, violations: bool = False):
+        self.subj: list[str] = []
+        self.pred: list[str] = []
+        self.obj: list[str] = []
+        self.obj_dt: list[str] = []
+        self.conv_id: list[str] = []
+        self.turn_idx: list[int] = []
+        self.artifact_type: list[str] = []
+        self.record_fp: list[str] = []
+        self.violation: list[str] | None = [] if violations else None
+
+    def _lineage(self, n: int, conv_id, turn_idx, atype, fp) -> None:
+        self.conv_id.extend([conv_id] * n)
+        self.turn_idx.extend([turn_idx] * n)
+        self.artifact_type.extend([atype or ""] * n)
+        self.record_fp.extend([fp] * n)
+
+    def add_record(self, mapper: ArtifactMapper, record: dict, conv_id,
+                   turn_idx, atype, fp: str | None = None) -> None:
+        """Map ``record`` straight into the columns."""
+        fp, n = mapper.process_record_into(record, self.subj, self.pred,
+                                           self.obj, self.obj_dt, fp=fp)
+        self._lineage(n, conv_id, turn_idx, atype, fp)
+
+    def add_checked(self, checked: list, conv_id, turn_idx, atype,
+                    fp: str) -> None:
+        """Append ``[((s, p, o, dt), violation_code), ...]`` of one record."""
+        for (s, p, o, dt), code in checked:
+            self.subj.append(s)
+            self.pred.append(p)
+            self.obj.append(o)
+            self.obj_dt.append(dt)
+            self.violation.append(code)
+        self._lineage(len(checked), conv_id, turn_idx, atype, fp)
+
+    def table(self) -> pa.Table:
+        # Dictionary-encode the repetitive columns: subj repeats ~8-12x per
+        # record (one node id across its triples), pred/obj_dt/artifact_type
+        # come from tiny vocabularies and conv_id/record_fp repeat ~10x per
+        # record, so encoding cuts the object-store bytes per block ~2.5x
+        # (these blocks are the pipeline's main data volume). obj stays
+        # plain: its values (timestamps, paths) are mostly distinct.
+        cols = {
+            "subj": _dict_strings(self.subj),
+            "pred": _dict_strings(self.pred),
+            "obj": pa.array(self.obj, pa.string()),
+            "obj_dt": _dict_strings(self.obj_dt),
+            "conv_id": _dict_strings(self.conv_id),
+            "turn_idx": pa.array(self.turn_idx, pa.int32()),
+            "artifact_type": _dict_strings(self.artifact_type),
+            "record_fp": _dict_strings(self.record_fp),
+        }
+        if self.violation is not None:
+            cols["violation"] = pa.array(self.violation, pa.string())
+        return pa.table(cols)
 
 
 class TurnTriples:
+    # ``ValidatingTurnTriples`` adds the violation column and overrides
+    # ``_add``; the batch loop and the Arrow build are shared.
+    violations = False
+
     def __init__(self, ontology_maps: dict | None = None):
         self.ontology_maps = ontology_maps or ONTOLOGY_MAPS
         # Frozen-map mappers compiled once per stage instance.
@@ -154,65 +194,38 @@ class TurnTriples:
         self._custom_mappers[sig] = m
         return m
 
+    def _add(self, out: TripleColumns, mapper: ArtifactMapper, record: dict,
+             conv_id, turn_idx, atype) -> None:
+        out.add_record(mapper, record, conv_id, turn_idx, atype)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.equal(batch.column("role"), pa.scalar("tool")),
-            pc.not_equal(batch.column("text"), pa.scalar("")),
-        )
-        tool_turns = batch.filter(mask)
-        n = tool_turns.num_rows
-        if n == 0:
-            return TRIPLES_SCHEMA.empty_table()
+        out = TripleColumns(self.violations)
+        for conv_id, turn_idx, record, atype in tool_records(batch):
+            self._add(out, self._mapper_for(atype, record), record,
+                      conv_id, turn_idx, atype)
+        return out.table()
 
-        texts = tool_turns.column("text").to_pylist()
-        conv_ids = tool_turns.column("conv_id").to_pylist()
-        turn_idxs = tool_turns.column("turn_idx").to_pylist()
 
-        subj: list[str] = []
-        pred: list[str] = []
-        obj: list[str] = []
-        obj_dt: list[str] = []
-        out_conv: list[str] = []
-        out_turn: list[int] = []
-        out_atype: list[str] = []
-        out_fp: list[str] = []
+class CoverageStats(TurnTriples):
+    """Stage: per-record field-coverage rows (artifact_type, total,
+    mapped, unmapped) — the A1 coverage aggregate's map side; follow with a
+    groupby(artifact_type) sum (see pipelines.kg.coverage_by_artifact_type)."""
 
-        for text, conv_id, turn_idx in zip(texts, conv_ids, turn_idxs):
-            try:
-                payload = loads_fast(text)
-            except (json.JSONDecodeError, TypeError):
-                continue
-            records = extract_records(payload)
-            atype = payload.get("artifact_type") if isinstance(payload, dict) else None
-            for record in records:
-                r_atype = record.get("artifact_type", atype)
-                mapper = self._mapper_for(r_atype, record)
-                fp, n = mapper.process_record_into(record, subj, pred, obj, obj_dt)
-                if n:
-                    out_conv.extend([conv_id] * n)
-                    out_turn.extend([turn_idx] * n)
-                    out_atype.extend([r_atype or ""] * n)
-                    out_fp.extend([fp] * n)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..kg.mapping_tables import coverage_stats
 
-        # Dictionary-encode the low-cardinality / highly-repetitive columns:
-        # pred/obj_dt/artifact_type repeat from tiny vocabularies and
-        # conv_id/record_fp repeat ~10x per record, so encoding cuts the
-        # object-store bytes per block ~2.5x (these blocks are the
-        # pipeline's main data volume).
-        return pa.table(
-            {
-                # subj repeats ~8-12x per record (one node id across its
-                # triples): dictionary encoding cuts the dominant column from
-                # 36 B/row to a 4 B index + one dict entry per node
-                "subj": pa.array(subj, pa.string()).dictionary_encode(),
-                "pred": pa.array(pred, pa.string()).dictionary_encode(),
-                # obj stays plain: its values (timestamps, paths) are mostly
-                # distinct, so a dictionary would not shrink it
-                "obj": pa.array(obj, pa.string()),
-                "obj_dt": pa.array(obj_dt, pa.string()).dictionary_encode(),
-                "conv_id": pa.array(out_conv, pa.string()).dictionary_encode(),
-                "turn_idx": pa.array(out_turn, pa.int32()),
-                "artifact_type": pa.array(out_atype, pa.string()).dictionary_encode(),
-                "record_fp": pa.array(out_fp, pa.string()).dictionary_encode(),
-            }
-        )
+        atypes, totals, mapped, unmapped = [], [], [], []
+        for _conv, _turn, record, atype in tool_records(batch):
+            mapper = self._mapper_for(atype, record)
+            un = mapper.unmapped_fields(record, reserved=RESERVED_RECORD_KEYS)
+            st = coverage_stats(record, un, RESERVED_RECORD_KEYS)
+            atypes.append(atype or "")
+            totals.append(st["totalFields"])
+            mapped.append(st["mappedFields"])
+            unmapped.append(st["unmappedFields"])
+        return pa.table({
+            "artifact_type": pa.array(atypes, pa.string()),
+            "total_fields": pa.array(totals, pa.int64()),
+            "mapped_fields": pa.array(mapped, pa.int64()),
+            "unmapped_fields": pa.array(unmapped, pa.int64()),
+        })

@@ -1,7 +1,10 @@
 """Validating KG stage: triple construction + SHACL-lite + fidelity checks
 + one bounded correction pass, in a single map pass (no cluster loops). It
 runs as the stateless task ``turn_triples_fn`` with
-``fn_kwargs={"stage": ValidatingTurnTriples}``.
+``fn_kwargs={"stage": ValidatingTurnTriples}``. It shares ``TurnTriples``'
+record iterator and ``TripleColumns`` layout and differs from it only in
+what it does per record (``_add``); its output adds a plain ``violation``
+string column.
 
 The reference's validate -> invalidate -> replan -> regenerate control loop
 (``graph.py:117-143``, MAX_VALIDATION_ATTEMPTS=3 / MAX_HALLUCINATION=2,
@@ -26,20 +29,13 @@ already dropped.
 
 from __future__ import annotations
 
-import json
-
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from ..functions.jsonx import loads_fast
-from ..kg.records import extract_records
 from ..ontology.validate import RuleEngine, allowed_value_forms
-from .kg_stage import TRIPLES_SCHEMA, TurnTriples
-
-VALIDATED_SCHEMA = TRIPLES_SCHEMA.append(pa.field("violation", pa.string()))
+from .kg_stage import TurnTriples
 
 
 class ValidatingTurnTriples(TurnTriples):
+    violations = True
+
     def __init__(self, ontology_maps: dict | None = None, check_fidelity: bool = True):
         super().__init__(ontology_maps)
         self.engine = RuleEngine()
@@ -66,11 +62,7 @@ class ValidatingTurnTriples(TurnTriples):
             ):
                 flagged[(subj, pred)] = rule
 
-        out = []
-        for t in triples:
-            code = flagged.get((t[0], t[1]), "")
-            out.append((t, code))
-        return out
+        return [(t, flagged.get((t[0], t[1]), "")) for t in triples]
 
     @staticmethod
     def _recompose_without(triples, flagged):
@@ -103,64 +95,15 @@ class ValidatingTurnTriples(TurnTriples):
         ]
         return corrected, dropped
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.equal(batch.column("role"), pa.scalar("tool")),
-            pc.not_equal(batch.column("text"), pa.scalar("")),
-        )
-        tool_turns = batch.filter(mask)
-        if tool_turns.num_rows == 0:
-            return VALIDATED_SCHEMA.empty_table()
-
-        cols = {name: [] for name in VALIDATED_SCHEMA.names}
-        for text, conv_id, turn_idx in zip(
-            tool_turns.column("text").to_pylist(),
-            tool_turns.column("conv_id").to_pylist(),
-            tool_turns.column("turn_idx").to_pylist(),
-        ):
-            try:
-                payload = loads_fast(text)
-            except (json.JSONDecodeError, TypeError):
-                continue
-            atype = payload.get("artifact_type") if isinstance(payload, dict) else None
-            for record in extract_records(payload):
-                r_atype = record.get("artifact_type", atype)
-                mapper = self._mapper_for(r_atype, record)
-                fp, triples = mapper.process_record(record)
-                checked = self._validate_record(record, triples, mapper)
-                flagged = {(t[0], t[1]): code for t, code in checked if code}
-                if flagged:
-                    # bounded correction pass: drop offending properties,
-                    # re-prune, re-validate the corrected graph
-                    corrected, droppedT = self._recompose_without(
-                        triples, flagged)
-                    rechecked = self._validate_record(record, corrected, mapper)
-                    emit = rechecked + [
-                        (t, flagged[(t[0], t[1])]) for t in droppedT
-                    ]
-                else:
-                    emit = checked
-                for (s, p, o, dt), code in emit:
-                    cols["subj"].append(s)
-                    cols["pred"].append(p)
-                    cols["obj"].append(o)
-                    cols["obj_dt"].append(dt)
-                    cols["conv_id"].append(conv_id)
-                    cols["turn_idx"].append(turn_idx)
-                    cols["artifact_type"].append(r_atype or "")
-                    cols["record_fp"].append(fp)
-                    cols["violation"].append(code)
-
-        return pa.table(
-            {
-                "subj": pa.array(cols["subj"], pa.string()),
-                "pred": pa.array(cols["pred"], pa.string()),
-                "obj": pa.array(cols["obj"], pa.string()),
-                "obj_dt": pa.array(cols["obj_dt"], pa.string()),
-                "conv_id": pa.array(cols["conv_id"], pa.string()),
-                "turn_idx": pa.array(cols["turn_idx"], pa.int32()),
-                "artifact_type": pa.array(cols["artifact_type"], pa.string()),
-                "record_fp": pa.array(cols["record_fp"], pa.string()),
-                "violation": pa.array(cols["violation"], pa.string()),
-            }
-        )
+    def _add(self, out, mapper, record, conv_id, turn_idx, atype) -> None:
+        fp, triples = mapper.process_record(record)
+        checked = self._validate_record(record, triples, mapper)
+        flagged = {(t[0], t[1]): code for t, code in checked if code}
+        if flagged:
+            # bounded correction pass: drop offending properties,
+            # re-prune, re-validate the corrected graph
+            corrected, droppedT = self._recompose_without(triples, flagged)
+            checked = self._validate_record(record, corrected, mapper) + [
+                (t, flagged[(t[0], t[1])]) for t in droppedT
+            ]
+        out.add_checked(checked, conv_id, turn_idx, atype, fp)

@@ -5,6 +5,10 @@ LLM deps are stubbed; only pure deterministic code runs.
 """
 import sys, types, json, os
 
+# this checkout: goldens go to its tests/, its package is the one imported
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDENS = os.path.join(ROOT, "tests", "goldens")
+
 def make_mod(name, **attrs):
     m = types.ModuleType(name)
     for k, v in attrs.items(): setattr(m, k, v)
@@ -138,11 +142,11 @@ out = {}
 out["prefetch"] = run_case("prefetch", prefetch_payload, PREFETCH_MAP)
 out["mft"] = run_case("mft", mft_payload, MFT_MAP)
 
-os.makedirs("/root/repo/tests/goldens", exist_ok=True)
+os.makedirs(GOLDENS, exist_ok=True)
 for name, res in out.items():
-    with open(f"/root/repo/tests/goldens/{name}_graph.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_graph.json", "w") as f:
         json.dump(res["graph"], f, indent=1, sort_keys=True)
-    with open(f"/root/repo/tests/goldens/{name}_triples.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_triples.json", "w") as f:
         json.dump(res["triples"], f, indent=0)
     print(name, "triples:", len(res["triples"]))
 print("subjects sample:", out["prefetch"]["triples"][0])
@@ -187,11 +191,11 @@ def run_custom_case(name, payload, base_map, unmapped_fields):
                 triples.append((subj, pred, v, dt))
     res = {"graph": graph, "triples": sorted(triples), "customFacets": facets, "ttl": ttl,
            "ontologyMapAfter": omap}
-    with open(f"/root/repo/tests/goldens/{name}_graph.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_graph.json", "w") as f:
         json.dump(graph, f, indent=1, sort_keys=True)
-    with open(f"/root/repo/tests/goldens/{name}_triples.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_triples.json", "w") as f:
         json.dump(res["triples"], f, indent=0)
-    with open(f"/root/repo/tests/goldens/{name}_customfacets.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_customfacets.json", "w") as f:
         json.dump({"customFacets": facets, "ttl": ttl, "ontologyMapAfter": omap}, f, indent=1, sort_keys=True)
     print(name, "triples:", len(res["triples"]))
     return res
@@ -254,9 +258,9 @@ rel_payload = {
     },
 }
 out_rel = run_case("relationships", rel_payload, REL_MAP)
-with open("/root/repo/tests/goldens/relationships_graph.json", "w") as f:
+with open(f"{GOLDENS}/relationships_graph.json", "w") as f:
     json.dump(out_rel["graph"], f, indent=1, sort_keys=True)
-with open("/root/repo/tests/goldens/relationships_triples.json", "w") as f:
+with open(f"{GOLDENS}/relationships_triples.json", "w") as f:
     json.dump(out_rel["triples"], f, indent=0)
 print("relationships triples:", len(out_rel["triples"]))
 
@@ -268,9 +272,9 @@ REL_MAP2["additional_details"]["propertyFieldMap"]["Relationship Connected_To 0"
 rel_payload2 = json.loads(json.dumps(rel_payload))
 rel_payload2["record"]["RelKind"] = "Connected_To"
 out_rel2 = run_case("relationships_payload", rel_payload2, REL_MAP2)
-with open("/root/repo/tests/goldens/relationships_payload_graph.json", "w") as f:
+with open(f"{GOLDENS}/relationships_payload_graph.json", "w") as f:
     json.dump(out_rel2["graph"], f, indent=1, sort_keys=True)
-with open("/root/repo/tests/goldens/relationships_payload_triples.json", "w") as f:
+with open(f"{GOLDENS}/relationships_payload_triples.json", "w") as f:
     json.dump(out_rel2["triples"], f, indent=0)
 print("relationships_payload triples:", len(out_rel2["triples"]))
 for n in out_rel2["graph"]["@graph"]: print(n)
@@ -282,7 +286,7 @@ for n in out_rel2["graph"]["@graph"]: print(n)
 # (uuid_planner_node + graph_generator_node), given that SAME auto-built map
 # and aliases, produces the same graph the engine composes — i.e. the
 # auto-mapper's output is a valid frozen map, not just engine-internal.
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, ROOT)
 from case_uco_ontology_map_ray.ontology.automap import build_ontology_map
 
 browser_payload = {
@@ -314,9 +318,9 @@ auto_map, auto_aliases = build_ontology_map(
 assert auto_map is not None and auto_map["classes"] == ["URLHistory"], auto_map
 up.PROPERTY_ALIAS_MAP.update(auto_aliases)
 out_browser = run_case("browser", browser_payload, auto_map)
-with open("/root/repo/tests/goldens/browser_graph.json", "w") as f:
+with open(f"{GOLDENS}/browser_graph.json", "w") as f:
     json.dump(out_browser["graph"], f, indent=1, sort_keys=True)
-with open("/root/repo/tests/goldens/browser_triples.json", "w") as f:
+with open(f"{GOLDENS}/browser_triples.json", "w") as f:
     json.dump(out_browser["triples"], f, indent=0)
 print("browser triples:", len(out_browser["triples"]))
 
@@ -374,9 +378,9 @@ cookie_payload = {
 for name, payload in [("registry", registry_payload), ("evtx", evtx_payload),
                       ("cookie", cookie_payload)]:
     res = run_case(name, payload, ONTOLOGY_MAPS[payload["artifact_type"]])
-    with open(f"/root/repo/tests/goldens/{name}_graph.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_graph.json", "w") as f:
         json.dump(res["graph"], f, indent=1, sort_keys=True)
-    with open(f"/root/repo/tests/goldens/{name}_triples.json", "w") as f:
+    with open(f"{GOLDENS}/{name}_triples.json", "w") as f:
         json.dump(res["triples"], f, indent=0)
     print(name, "triples:", len(res["triples"]))
 

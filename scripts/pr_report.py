@@ -12,21 +12,22 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 from case_uco_ontology_map_ray.config import ONTOLOGY_MAPS  # noqa: E402
 from case_uco_ontology_map_ray.kg.mapper import ArtifactMapper  # noqa: E402
 from case_uco_ontology_map_ray.kg.records import extract_records  # noqa: E402
 from case_uco_ontology_map_ray.stages.kg_stage import TurnTriples  # noqa: E402
 
-sys.path.insert(0, "/root/repo/tests")
+sys.path.insert(0, str(ROOT / "tests"))
 from test_kg_core import (  # noqa: E402
     MFT_PAYLOAD,
     PREFETCH_PAYLOAD,
     REL_MAP,
 )
 
-GOLDENS = Path("/root/repo/tests/goldens")
+GOLDENS = ROOT / "tests" / "goldens"
 
 CASES = {
     "prefetch": (PREFETCH_PAYLOAD, ONTOLOGY_MAPS["Windows Prefetch execution cache records"]),

@@ -10,10 +10,11 @@ regression in any shared guard fails fast in CI.
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from scripts.audit_empty_inputs import build_empty_sf  # noqa: E402
 

@@ -52,8 +52,9 @@ def test_shacl_spotcheck_clean_on_samples(ray_session):
     caught. Uses pyshacl when importable, the structural RuleEngine pass
     otherwise (pyshacl is not shipped in this container)."""
     import sys
+    from pathlib import Path
 
-    sys.path.insert(0, "/root/repo/scripts")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
     import json
 
     from shacl_spotcheck import spotcheck_doc, spotcheck_docs
