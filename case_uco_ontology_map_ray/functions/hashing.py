@@ -355,18 +355,6 @@ def simhash64_batch(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
-def jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact Jaccard over two distinct-shingle arrays."""
-    if len(a) == 0 and len(b) == 0:
-        return 1.0
-    inter = len(np.intersect1d(a, b, assume_unique=True))
-    return inter / (len(a) + len(b) - inter)
-
-
 def rolling_fingerprint(text: str, window: int = 64, keep: int = 8) -> list[int]:
     """Winnowing-style document fingerprint: the ``keep`` smallest distinct
     window hashes (rolling polynomial over bytes)."""

@@ -3,11 +3,16 @@
 - exact_dedup:     content-hash groupby, keep min doc_id (oracle: md5 SQL)
 - minhash_lsh_dedup: shingle -> minhash -> band buckets -> candidate edges ->
                    distributed Jaccard verify -> connected components
-                   (min-label propagation) -> Dataset[(doc_id, cluster_id)]
+                   (min-label propagation) -> Dataset[(doc_id, cluster_id)].
+                   Entity canonicalization (``pipelines.linking``) runs it
+                   over the normalized entity paths.
 - simhash_groups:  64-bit simhash fingerprints; band on 16-bit chunks, link
                    docs within hamming ``radius`` of the bucket root, then
                    min-label propagation -> Dataset[(doc_id, group_id)]
 - ngram_jaccard_pairs: candidate pairs with exact n-gram Jaccard >= tau
+- propagate_labels / _labels_vectorized: the distributed and the numpy
+                   min-label propagation rounds under every connected
+                   components result in the package.
 
 Scale design (no driver-side corpus state anywhere):
 - Sketching runs as stateless tasks (the hash family is built once per
@@ -19,11 +24,10 @@ Scale design (no driver-side corpus state anywhere):
   above) and computes every edge's exact Jaccard in ONE vectorized pass per
   batch (``_pair_jaccard``: lexsort + duplicate counting — no per-edge loop).
 - Connected components run as min-label propagation over the star-edge
-  incidence, adaptive exactly like ``pipelines.linking``: below
-  ``small_threshold`` distinct docs the (int64, int64) edge list is solved
-  with vectorized numpy on the driver + a broadcast non-singleton label map;
-  above it the fully distributed ``propagate_labels`` groupby/bucket_join
-  rounds take over. Both compute the same fixpoint (component min-label).
+  incidence: below ``small_threshold`` distinct docs the (int64, int64)
+  edge list is solved with vectorized numpy on the driver + a broadcast
+  non-singleton label map; above it the fully distributed
+  ``propagate_labels`` groupby/bucket_join rounds take over. Both compute the same fixpoint (component min-label).
 
 Outputs pinned by regression goldens (tests/goldens/dedup/*, regenerated in
 round 3 when the shingle/band hash family intentionally moved from per-string
@@ -39,6 +43,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray.data as rd
 
 from ..functions.hashing import (
     MinHasher,
@@ -48,6 +53,7 @@ from ..functions.hashing import (
 )
 from ..functions.process_cache import process_stage
 from .agg import round_away
+from .joins import _est_memory_bytes, _mix_bucket, bucket_join, bucket_semi_join
 
 # Non-singleton label maps are broadcast on the small path; switch to the
 # distributed propagate_labels rounds above this many linked docs.
@@ -212,8 +218,6 @@ def _band_groups(bands_ds, extract_fn, num_parts: int = 64):
     import pyarrow.compute as pc
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import _mix_bucket
-
         return t.append_column("__bucket", _mix_bucket(t.column("band"),
                                                        num_parts))
 
@@ -330,8 +334,6 @@ def _verify_jaccard(edges, payload, tau: float, emit_jac: bool = False):
     """
     import pyarrow.compute as pc
     import ray
-
-    from .joins import bucket_join, bucket_semi_join
 
     # edges are LSH-bounded candidates (tiny next to the corpus); pin them
     # so the endpoint scan + the join don't re-execute the band lineage
@@ -469,6 +471,158 @@ def _verify_jaccard(edges, payload, tau: float, emit_jac: bool = False):
     return both.map_batches(verify, batch_format="pandas")
 
 
+def _grouped_min(ds: rd.Dataset, key: str, val: str, out_name: str) -> rd.Dataset:
+    """groupby(key).min(val) with a local arrow combiner before the shuffle."""
+    from ray.data.aggregate import Min
+
+    def local(t: pa.Table) -> pa.Table:
+        agg = t.select([key, val]).group_by([key]).aggregate([(val, "min")])
+        return agg.rename_columns([key, val])
+
+    pre = ds.map_batches(local, batch_format="pyarrow")
+    out = pre.groupby(key).aggregate(Min(val, alias_name=out_name))
+    return out
+
+
+def propagate_labels(incidence: rd.Dataset, labels: rd.Dataset,
+                     max_rounds: int = 5, num_buckets: int = 32):
+    """Min-label propagation rounds over the bipartite (band, pid) graph.
+
+    Each round: label(pid) <- min over { label(q) : q shares a band with pid }
+    expressed as two bucket_joins + two grouped mins — iterative
+    groupby-aggregate union-find (north_rule) — followed by one POINTER-JUMP
+    step (label <- label(label), a labels-with-labels bucket_join): path
+    compression halves chain depth per round, so convergence on long
+    near-dup chains is O(log diameter) rounds instead of O(diameter), at
+    one extra join per round. Real corpora hit this: a 360k-path bench
+    slice chains 99.99% of its paths into ONE component (see
+    ROUND5_NOTES.md). The fixpoint is unchanged — component min is
+    idempotent under compression (pinned by the small==distributed
+    equivalence tests). ``max_rounds`` is a soft target (same semantics as
+    ``_labels_vectorized``): a component needing more rounds would silently
+    split, so the loop keeps going past it up to a hard cap — each extra
+    round only runs when the checksum shows labels still moving.
+
+    Returns (labels Dataset[(pid, label)], rounds_run, converged).
+    """
+    labels = labels.materialize()
+    # Block-count cap: every round unions the label table with a join output
+    # whose groupby emits one block per bucket, so without a coalesce the
+    # label lineage GROWS by O(num_buckets) blocks per round (measured: 767
+    # blocks after 8 rounds on a 214-row table, making each round's sort pay
+    # ~50 ms/block of pure scheduling = minutes on tiny data). Repartition
+    # back to a constant block count before each materialize — sized from
+    # the initial label table so big inputs keep their parallelism.
+    target_blocks = max(num_buckets, labels.num_blocks())
+    prev_sum = _label_checksum(labels)
+    hard_cap = max(max_rounds, 4 * max_rounds + 64)
+    for rnd in range(hard_cap):
+        # label(band) = min label of its members (join + grouped min)
+        lab_inc = bucket_join(incidence, labels, on="pid", num_buckets=num_buckets)
+        bucket_min = _grouped_min(lab_inc, "band", "label", "bmin").materialize()
+        # label(pid) = min(own label, min over its bands)
+        back = bucket_join(incidence, bucket_min, on="band", num_buckets=num_buckets)
+        cand = back.map_batches(
+            lambda t: t.select(["pid", "bmin"]).rename_columns(["pid", "label"]),
+            batch_format="pyarrow",
+        )
+        # materialize: the label table is small (one row per distinct path);
+        # without this every round would lazily re-execute all prior rounds
+        labels = _grouped_min(labels.union(cand), "pid", "label", "label")
+        labels = labels.repartition(target_blocks).materialize()
+
+        # pointer jump: label <- label(label). Every label VALUE is a pid
+        # with its own labels row (labels start as pid->pid and only take
+        # mins of other labels), so joining the label table onto itself on
+        # label==pid hops each node to its label's label in one pass.
+        lhs = labels.map_batches(
+            lambda t: t.rename_columns(["pid", "__k"]), batch_format="pyarrow")
+        rhs = labels.map_batches(
+            lambda t: t.rename_columns(["__k", "label"]), batch_format="pyarrow")
+        hop = bucket_join(lhs, rhs, on="__k", num_buckets=num_buckets).map_batches(
+            lambda t: t.select(["pid", "label"]), batch_format="pyarrow")
+        labels = _grouped_min(labels.union(hop), "pid", "label", "label")
+        labels = labels.repartition(target_blocks).materialize()
+
+        # convergence: labels only decrease, so the (wraparound) checksum is
+        # unchanged iff no label changed this round — no extra join needed
+        cur = _label_checksum(labels)
+        if cur == prev_sum:
+            return labels, rnd + 1, True
+        prev_sum = cur
+    return labels, hard_cap, False
+
+
+def _label_checksum(labels: rd.Dataset) -> int:
+    """Deterministic wraparound sum of the label column (distributed partial
+    sums, merged on the driver)."""
+
+    def part(t: pa.Table) -> pa.Table:
+        arr = t.column("label").to_numpy(zero_copy_only=False).view(np.uint64)
+        return pa.table({"s": pa.array([int(arr.sum(dtype=np.uint64))], pa.uint64())})
+
+    parts = labels.map_batches(part, batch_format="pyarrow").to_pandas()
+    return int(parts["s"].to_numpy(dtype=np.uint64).sum(dtype=np.uint64))
+
+
+def _labels_vectorized(band: np.ndarray, pid: np.ndarray,
+                       max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min-label propagation over (band, pid) incidence, fully vectorized.
+
+    Same fixpoint as ``propagate_labels`` (min is order-independent), but as
+    numpy segment-mins — used when the distinct-path set fits one node
+    (labels are 16 bytes/path: 10^8 paths ≈ 1.6 GB, far under a worker
+    heap). Returns (unique_pids, final_labels).
+
+    ``max_rounds`` is a soft target: a component whose diameter exceeds
+    ~2*max_rounds hops would silently split into several labels, so when the
+    cap is hit without reaching the fixpoint the loop KEEPS ITERATING (each
+    in-memory round is two reduceats — cheap) up to a hard bound, warning if
+    even that is exceeded.
+    """
+    import warnings
+
+    order = np.argsort(band, kind="stable")
+    b_sorted = band[order]
+    seg_starts = np.flatnonzero(np.r_[True, b_sorted[1:] != b_sorted[:-1]])
+    seg_lengths = np.diff(np.r_[seg_starts, len(b_sorted)])
+
+    uniq, inv = np.unique(pid, return_inverse=True)
+    inv_sorted = inv[order]
+    lab = uniq.copy()
+    hard_cap = max(max_rounds, 4 * max_rounds + 64)
+    converged = False
+    for _ in range(hard_cap):
+        row_lab = lab[inv_sorted]
+        bmin = np.minimum.reduceat(row_lab, seg_starts)
+        bmin_rows = np.repeat(bmin, seg_lengths)
+        new = lab.copy()
+        np.minimum.at(new, inv_sorted, bmin_rows)
+        # pointer jumping (path compression): every label VALUE is a pid
+        # present in uniq (labels start as uniq and only take mins of other
+        # labels), so new[index_of(new)] hops each node to its label's
+        # label — halving chain depth per inner pass. Turns convergence on
+        # long near-dup chains from O(diameter) outer rounds into
+        # O(log diameter) total (measured 2.6x on a 360k-path component
+        # whose members chain through shared shingles); the FIXPOINT is
+        # unchanged — component min is idempotent under compression.
+        while True:
+            hopped = new[np.searchsorted(uniq, new)]
+            if np.array_equal(hopped, new):
+                break
+            new = hopped
+        if np.array_equal(new, lab):
+            converged = True
+            break
+        lab = new
+    if not converged:
+        warnings.warn(
+            f"label propagation did not converge in {hard_cap} rounds; "
+            "some components may be split into multiple labels",
+            RuntimeWarning, stacklevel=2)
+    return uniq, lab
+
+
 def _propagate_components(edges, all_ids, out_col: str,
                           small_threshold: int = SMALL_THRESHOLD,
                           max_rounds: int = 8):
@@ -477,7 +631,7 @@ def _propagate_components(edges, all_ids, out_col: str,
 
     Returns Dataset[(doc_id, out_col)]. Adaptive: numpy + broadcast label map
     below ``small_threshold`` linked docs, else the distributed
-    ``propagate_labels`` rounds from pipelines.linking.
+    ``propagate_labels`` rounds.
     """
     import ray
 
@@ -514,8 +668,6 @@ def _propagate_components(edges, all_ids, out_col: str,
         )
 
     if n_edges <= small_threshold:
-        from ..pipelines.linking import _labels_vectorized
-
         inc = incidence.to_pandas()
         uniq, lab = _labels_vectorized(
             inc["band"].to_numpy(dtype=np.int64),
@@ -541,9 +693,6 @@ def _propagate_components(edges, all_ids, out_col: str,
         return all_ids.map_batches(assign_labels, batch_format="pyarrow")
 
     # ---- distributed path: label table too large to broadcast ----
-    from ..pipelines.linking import propagate_labels
-    from .joins import bucket_join
-
     labels = all_ids.map_batches(
         lambda t: pa.table({"pid": t.column("doc_id"),
                             "label": t.column("doc_id")}),
@@ -582,8 +731,6 @@ def _minhash_driver_small(sketched, mh: "MinHasher", bands: int, tau: float,
     path, so the clustering is identical (pinned by
     test_minhash_driver_matches_distributed)."""
     import ray
-
-    from ..pipelines.linking import _labels_vectorized
 
     tabs = list(sketched.iter_batches(batch_format="pyarrow",
                                       batch_size=None))
@@ -697,8 +844,6 @@ def minhash_lsh_dedup(
 
     n_docs = sketched.count()
     if n_docs * bands <= small_band_rows:
-        from .joins import _est_memory_bytes
-
         if _est_memory_bytes(sketched) <= driver_sketch_bytes:
             # All-driver path for TINY sketches only (see gate constant:
             # the 120k-path A/B showed the distributed verify wins well
@@ -949,8 +1094,6 @@ def incremental_exact_dedup(new_ds, prior_ds, text_col: str = "text",
     themselves (min id per hash). The prior corpus is never collected,
     broadcast whole, or re-deduplicated. Returns Dataset[{id_col}].
     """
-    from .joins import bucket_semi_join
-
     def add_hash(t: pa.Table) -> pa.Table:
         agg = (t.select([id_col])
                .append_column("__h", _content_key(t, text_col, hash_mode))

@@ -277,59 +277,6 @@ class BloomFilter:
         return cls(m_bits, h, np.frombuffer(raw, dtype=np.uint8).copy())
 
 
-def frequent_tokens_by_group(ds, group_col: str, col: str = "text",
-                             k: int = 32):
-    """Per-group heavy hitters: one Misra-Gries summary row per (batch,
-    group) -> groupby(group) merge via map_groups -> (group, n, sketch).
-    The exchange moves O(batches x groups x k) sketch rows, never token
-    rows — the sketch-inside-groupby composition for per-language /
-    per-source vocabulary monitoring at corpus scale.
-
-    Returns a Dataset[(group, n_tokens, key, est)] — candidates per group
-    with the per-group stream length that scales each error bound."""
-    import pickle
-
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    def sketch(t: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(t.column(col)))
-        offs = toks.combine_chunks().offsets.to_numpy(zero_copy_only=False)
-        groups = t.column(group_col).to_numpy(zero_copy_only=False)
-        flat = pa.table({
-            "g": pa.array(np.repeat(groups, np.diff(offs))),
-            "tok": pc.list_flatten(toks),
-        }).filter(pc.not_equal(pc.list_flatten(toks), ""))
-        agg = flat.group_by(["g", "tok"]).aggregate([([], "count_all")])
-        rows_g, rows_s, rows_n = [], [], []
-        gdf = agg.to_pandas()
-        for g, sub in gdf.groupby("g", sort=False):
-            mg = MisraGries(k)
-            mg.add_counts(sub["tok"].tolist(), sub["count_all"].tolist())
-            rows_g.append(g)
-            rows_s.append(pickle.dumps(mg.counters))
-            rows_n.append(int(sub["count_all"].sum()))
-        return pa.table({group_col: pa.array(rows_g),
-                         "sketch": pa.array(rows_s, pa.binary()),
-                         "n": pa.array(rows_n, pa.int64())})
-
-    parts = ds.map_batches(sketch, batch_format="pyarrow")
-
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        mg = MisraGries(k)
-        for raw in g["sketch"]:
-            mg = mg.merge(MisraGries(k, pickle.loads(raw)))
-        n = int(g["n"].sum())
-        keys = sorted(mg.counters)
-        return pd.DataFrame({group_col: [g[group_col].iloc[0]] * len(keys),
-                             "n_tokens": [n] * len(keys),
-                             "key": keys,
-                             "est": [mg.counters[x] for x in keys]})
-
-    return parts.groupby(group_col).map_groups(merge_group,
-                                               batch_format="pandas")
-
-
 def approx_distinct_by_group(ds, group_col: str, column: str, p: int = 12):
     """Sketch-inside-groupby HLL: one serialized HLL per (batch, group) ->
     groupby(group) merge -> per-group estimate. The shuffle carries

@@ -1,15 +1,17 @@
 """Text-analysis operators over a document table (doc_id, text, ...).
 
-- token/char stats (vectorized pyarrow kernels, oracle-checkable SQL)
+- token / length / repetition / compression statistics (vectorized
+  pyarrow kernels)
 - quality scoring (length / punctuation / stopword ratios)
-- language ID (stopword-profile n-gram heuristic; actor stage)
-- document fingerprinting (md5 content hash — oracle md5(); winnowing-style
-  rolling-hash fingerprint as the non-SQL variant)
+- language ID (stopword-profile n-gram heuristic)
+- winnowing-style rolling-hash document fingerprints
+- sequence packing, inverted index, text normalization
+- PII-shaped token redaction (RE2 kernels shared with the DuckDB oracle of
+  the ``pii_*`` queries)
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -26,8 +28,6 @@ _LANG_PROFILES = {
     "zh": {"的", "是", "了", "在", "和", "有", "我", "不", "这", "他"},
 }
 
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
-_PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 
 # RE2 equivalents of Python's unicode \w / punct classes (Python \w =
 # str.isalnum() + underscore = \p{L}\p{N}_). Divergence is limited to exotic
@@ -59,44 +59,6 @@ def _segment_sum(x: np.ndarray, offs: np.ndarray) -> np.ndarray:
     csum = np.zeros(len(x) + 1, dtype=np.int64)
     np.cumsum(x, out=csum[1:])
     return csum[offs[1:]] - csum[offs[:-1]]
-
-
-def token_stats(ds) -> "pa.Table":
-    """Per-doc vectorized stats: n_tokens (whitespace), n_chars_measured."""
-
-    def stats(t: pa.Table) -> pa.Table:
-        text = t.column("text")
-        toks = pc.list_value_length(pc.utf8_split_whitespace(text))
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "n_tokens": toks.cast(pa.int64()),
-            "n_chars_measured": pc.utf8_length(text).cast(pa.int64()),
-        })
-
-    return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def text_stats_by_lang(ds) -> pd.DataFrame:
-    """Grouped rollup: per lang, doc count + avg token count + total chars."""
-    from ..ops.agg import grouped_sums, round_away
-
-    def stats(t: pa.Table) -> pa.Table:
-        text = t.column("text")
-        toks = pc.list_value_length(pc.utf8_split_whitespace(text)).cast(pa.int64())
-        return pa.table({
-            "lang": t.column("lang"),
-            "n_tokens": toks,
-            "n_chars": pc.utf8_length(text).cast(pa.int64()),
-        })
-
-    prepped = ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(prepped, keys=["lang"],
-                       sum_cols={"total_tokens": "n_tokens", "total_chars": "n_chars"},
-                       count_alias="n_docs")
-    out["avg_tokens"] = round_away(out.total_tokens / out.n_docs, 2)
-    out = out.drop(columns=["total_tokens"])
-    return out[["lang", "n_docs", "avg_tokens", "total_chars"]].sort_values(
-        "lang").reset_index(drop=True)
 
 
 class QualityScorer:
@@ -193,18 +155,6 @@ class LangId:
 
 def lang_id(ds):
     return ds.map_batches(LangId(), batch_format="pyarrow")
-
-
-def doc_fingerprints(ds):
-    """md5 content fingerprint per doc (oracle: SELECT md5(text))."""
-
-    def fp(t: pa.Table) -> pa.Table:
-        hs = [hashlib.md5(x.encode("utf-8")).hexdigest()
-              for x in t.column("text").to_pylist()]
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "fp": pa.array(hs, pa.string())})
-
-    return ds.map_batches(fp, batch_format="pyarrow")
 
 
 def rolling_fingerprints(ds, keep: int = 8):
@@ -366,50 +316,6 @@ def repetition_stats(ds):
         })
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def chunk_documents(ds, size: int = 120, stride: int = 90):
-    """Overlapping context-window chunking (RAG / training-window prep):
-    one output row per (doc, chunk_idx), chunk = codepoints
-    [chunk_idx*stride, chunk_idx*stride + size). Chunk count =
-    ceil(max(len - (size - stride), 1) / stride) — every doc emits at least
-    one chunk and every tail is covered. Vectorized: one
-    ``utf8_slice_codeunits`` kernel per chunk index across the whole batch
-    (few indexes; rows vectorized), flat-map shape. DuckDB-oracle-checkable:
-    ``substring`` is codepoint-based like the Arrow kernel."""
-    overlap = size - stride
-    assert 0 <= overlap < size, "need 0 < stride <= size"
-
-    def chunks(t: pa.Table) -> pa.Table:
-        text = t.column("text")
-        lens = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
-        n_chunks = np.ceil(np.maximum(lens - overlap, 1) / stride).astype(np.int64)
-        out_ids, out_idx, out_chunks = [], [], []
-        doc_ids = t.column("doc_id")
-        for j in range(int(n_chunks.max()) if len(n_chunks) else 0):
-            mask = n_chunks > j
-            sel = pa.array(mask)
-            sliced = pc.utf8_slice_codeunits(
-                text.filter(sel) if isinstance(text, pa.ChunkedArray)
-                else text.filter(sel),
-                start=j * stride, stop=j * stride + size)
-            out_ids.append(doc_ids.filter(sel))
-            out_chunks.append(sliced)
-            out_idx.append(pa.array(np.full(int(mask.sum()), j, dtype=np.int64)))
-        if not out_ids:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "chunk_idx": pa.array([], pa.int64()),
-                             "chunk": pa.array([], pa.string())})
-        def _cat(arrs):
-            parts = []
-            for a in arrs:
-                parts.extend(a.chunks if isinstance(a, pa.ChunkedArray) else [a])
-            return pa.concat_arrays(parts)
-        return pa.table({"doc_id": _cat(out_ids).cast(pa.int64()),
-                         "chunk_idx": _cat(out_idx),
-                         "chunk": _cat(out_chunks)})
-
-    return ds.map_batches(chunks, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def pack_sequences(ds, max_tokens: int = 512, num_buckets: int = 64):

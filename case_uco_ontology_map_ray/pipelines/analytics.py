@@ -1,9 +1,9 @@
 """Relational analytics pipelines over the TPC-H-ish test tables.
 
-Each function takes ``sf_dir`` and returns a small pandas DataFrame whose
-column NAMES and VALUES match the oracle SQL in ``__ray_entry__.oracle_sql``
-(aggregates rounded identically on both sides so distributed fp summation
-and DuckDB hash correctly).
+Each function takes ``sf_dir`` and returns a small pandas DataFrame
+(aggregates rounded half-away so distributed fp summation is exact and
+order-independent). No ``__ray_entry__`` query calls them any more; the
+ones left are those the unit tests pin.
 
 These exercise the engine's relational operator surface: pruned reads,
 vectorized filter/project, partial-aggregation groupby, broadcast and
@@ -26,8 +26,7 @@ from ..ops.agg import (
     topk_ds,
     topk_rounded,
 )
-from ..ops.joins import (adaptive_semi_join, broadcast_join, bucket_semi_join,
-                         semi_filter)
+from ..ops.joins import adaptive_semi_join, bucket_semi_join, semi_filter
 
 
 def _t(sf_dir: str, name: str) -> str:
@@ -40,55 +39,6 @@ def _scale_i64(col, scale: float = 10000.0):
     scaled = pc.round(pc.multiply(col, pa.scalar(scale)), ndigits=0,
                       round_mode="half_towards_infinity")  # = half away from zero
     return scaled.cast(pa.int64())
-
-
-def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
-    """TPC-H Q1-style pricing summary over lineitem (filter -> computed
-    columns -> partial-agg groupby -> sort)."""
-    ds = rd.read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-                 "l_discount", "l_tax", "l_shipdate"],
-    )
-    cutoff = pa.scalar(np.datetime64("1998-09-02T00:00:00", "us"))
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.less_equal(t.column("l_shipdate"), cutoff))
-        disc_price = pc.multiply(t.column("l_extendedprice"),
-                                 pc.subtract(pa.scalar(1.0), t.column("l_discount")))
-        charge = pc.multiply(disc_price, pc.add(pa.scalar(1.0), t.column("l_tax")))
-        # integer-scaled (1e4) sums: exact int64 addition is associative, so
-        # the distributed sum matches DuckDB bit-for-bit regardless of
-        # partitioning (raw double sums differ by ~1e-10 relative between
-        # association orders, enough to flip a .005 rounding boundary)
-        t = t.append_column("disc_price", _scale_i64(disc_price))
-        return t.append_column("charge", _scale_i64(charge))
-
-    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(
-        prepped,
-        keys=["l_returnflag", "l_linestatus"],
-        sum_cols={
-            "sum_qty": "l_quantity",
-            "sum_base_price": "l_extendedprice",
-            "sum_disc_price": "disc_price",
-            "sum_charge": "charge",
-            "sum_disc": "l_discount",
-        },
-        count_alias="count_order",
-    )
-    out["sum_disc_price"] = out["sum_disc_price"] / 10000.0
-    out["sum_charge"] = out["sum_charge"] / 10000.0
-    out["avg_qty"] = round_away(out.sum_qty / out.count_order, 2)
-    out["avg_price"] = round_away(out.sum_base_price / out.count_order, 2)
-    out["avg_disc"] = round_away(out.sum_disc / out.count_order, 4)
-    out = out.drop(columns=["sum_disc"])
-    for c in ("sum_qty", "sum_base_price", "sum_disc_price", "sum_charge"):
-        out[c] = round_away(out[c], 2)
-    out = out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
-    return out[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-                "sum_disc_price", "sum_charge", "avg_qty", "avg_price",
-                "avg_disc", "count_order"]]
 
 
 def q3_top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10) -> pd.DataFrame:
@@ -171,315 +121,6 @@ def order_priority_counts(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
-def top_event_types(sf_dir: str, k: int = 5) -> pd.DataFrame:
-    """events: count + value sum per type, top-k by count (tiebreak on name)."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.set_column(t.column_names.index("value"), "value",
-                               _scale_i64(t.column("value"))),
-        batch_format="pyarrow",
-    )
-    out = grouped_sums(ds, keys=["event_type"], sum_cols={"sum_value": "value"},
-                       count_alias="n")
-    out["sum_value"] = round_away(out["sum_value"] / 10000.0, 2)
-    out = out.sort_values(["n", "event_type"], ascending=[False, True]).head(k)
-    return out[["event_type", "n", "sum_value"]].reset_index(drop=True)
-
-
-def distinct_users(sf_dir: str) -> pd.DataFrame:
-    """count(distinct user_id): per-batch local distinct (combiner) ->
-    hash-partitioned exact distinct count per bucket -> sum of B partial
-    counts. The driver only ever sees B integers (never the key set)."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-    num_parts = 32
-
-    from ..ops.joins import _mix_bucket
-
-    def local(t: pa.Table) -> pa.Table:
-        agg = t.group_by(["user_id"]).aggregate([])
-        return agg.append_column(
-            "__part", _mix_bucket(agg.column("user_id"), num_parts))
-
-    pre = ds.map_batches(local, batch_format="pyarrow")
-
-    def count_bucket(g: pa.Table) -> pa.Table:
-        n = g.group_by(["user_id"]).aggregate([]).num_rows
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    parts = pre.groupby("__part").map_groups(count_bucket, batch_format="pyarrow")
-    return pd.DataFrame({"n_users": [int(parts.sum("n") or 0)]})
-
-
-def hourly_user_activity(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Tumbling-window aggregate: per (user, hour) event count + value sum;
-    top-k windows by count. Windows = date_trunc, i.e. a groupby — the
-    streaming-shaped workload expressed batch-first (ray_guide §Streaming)."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts", "value"])
-
-    def add_hour(t: pa.Table) -> pa.Table:
-        return t.append_column("hour", pc.floor_temporal(t.column("ts"), unit="hour"))
-
-    ds = ds.map_batches(add_hour, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(
-        lambda t: t.set_column(t.column_names.index("value"), "value",
-                               _scale_i64(t.column("value"))),
-        batch_format="pyarrow",
-    )
-    out = grouped_sums(ds, keys=["user_id", "hour"], sum_cols={"sum_value": "value"},
-                       count_alias="n")
-    out["sum_value"] = round_away(out["sum_value"] / 10000.0, 2)
-    out = out.sort_values(["n", "user_id", "hour"], ascending=[False, True, True]).head(k)
-    return out[["user_id", "hour", "n", "sum_value"]].reset_index(drop=True)
-
-
-def customer_order_totals(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Top-k customers by total order value with name. Per-customer totals
-    stay a Dataset; the global top-k merges per-block partials; only the k
-    winners' names are fetched (broadcast of k keys into customer)."""
-    orders = rd.read_parquet(_t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
-    totals_ds = grouped_sums_ds(orders, keys=["o_custkey"],
-                                sum_cols={"total": "o_totalprice"},
-                                count_alias="n_orders")
-    top = topk_rounded(totals_ds, by=["total", "o_custkey"],
-                       ascending=[False, True], k=k,
-                       round_col="total", ndigits=2,
-                       columns=["o_custkey", "total", "n_orders"])
-    cust = ensure_columns(semi_filter(
-        rd.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey", "c_name"]),
-        top["o_custkey"].to_numpy(), "c_custkey",
-    ).to_pandas(), {"c_custkey": "int64", "c_name": "object"})
-    out = top.merge(cust, left_on="o_custkey", right_on="c_custkey")
-    out = out.sort_values(["total", "o_custkey"], ascending=[False, True])
-    return out[["c_custkey", "c_name", "n_orders", "total"]].reset_index(drop=True)
-
-
-def q6_revenue_delta(sf_dir: str) -> pd.DataFrame:
-    """TPC-H Q6-style scalar aggregate: revenue delta from discount band
-    (vectorized filter + global sum, no groupby)."""
-    lo = np.datetime64("1995-01-01T00:00:00", "us")
-    hi = np.datetime64("1996-01-01T00:00:00", "us")
-    ds = rd.read_parquet(_t(sf_dir, "lineitem"),
-                         columns=["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        m = pc.and_(
-            pc.and_(pc.greater_equal(t.column("l_shipdate"), pa.scalar(lo)),
-                    pc.less(t.column("l_shipdate"), pa.scalar(hi))),
-            pc.and_(
-                pc.and_(pc.greater_equal(t.column("l_discount"), pa.scalar(0.05)),
-                        pc.less_equal(t.column("l_discount"), pa.scalar(0.07))),
-                pc.less(t.column("l_quantity"), pa.scalar(24.0)),
-            ),
-        )
-        f = t.filter(m)
-        rev = pc.multiply(f.column("l_extendedprice"), f.column("l_discount"))
-        return pa.table({"rev": _scale_i64(rev)})
-
-    parts = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    total = parts.sum("rev") or 0
-    return pd.DataFrame({"revenue": [float(round_away(total / 10000.0, 2))]})
-
-
-def _nation_order_fine(sf_dir: str) -> pd.DataFrame:
-    """Exact (r_name, n_name, total x1e4 int64, n_orders) fine aggregate —
-    the distributed chain shared by nation_order_volume and
-    region_nation_rollup. Only the genuinely-small sides broadcast
-    (nation x region — 25 rows); customer is O(data) at scale, so
-    customer x orders goes through a bucketed hash-partitioned join
-    (auto-sized buckets), with orders locally pre-aggregated per custkey
-    (exact int64 x1e4 sums) before the shuffle so the exchange carries one
-    row per (custkey, block), not per order."""
-    from ..ops.joins import bucket_join
-
-    nation = ensure_columns(
-        rd.read_parquet(_t(sf_dir, "nation")).to_pandas(),
-        {"n_nationkey": "int64", "n_name": "object", "n_regionkey": "int64"})
-    region = ensure_columns(
-        rd.read_parquet(_t(sf_dir, "region")).to_pandas(),
-        {"r_regionkey": "int64", "r_name": "object"})
-    dims = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")[
-        ["n_nationkey", "n_name", "r_name"]].rename(
-        columns={"n_nationkey": "c_nationkey"})
-
-    def order_partials(t: pa.Table) -> pa.Table:
-        x = pa.table({"c_custkey": t.column("o_custkey"),
-                      "total": _scale_i64(t.column("o_totalprice"))})
-        agg = x.group_by(["c_custkey"]).aggregate(
-            [("total", "sum"), ([], "count_all")])
-        return agg.rename_columns(["c_custkey", "total", "n_orders"])
-
-    orders = rd.read_parquet(
-        _t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
-    ).map_batches(order_partials, batch_format="pyarrow", zero_copy_batch=True)
-    cust = rd.read_parquet(_t(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
-    joined = bucket_join(orders, cust, on="c_custkey")
-    named = broadcast_join(joined, dims, on="c_nationkey")
-    out = grouped_sums(named, keys=["r_name", "n_name"],
-                       sum_cols={"total": "total", "n_orders": "n_orders"})
-    return out.astype({"total": "int64", "n_orders": "int64"})
-
-
-def nation_order_volume(sf_dir: str) -> pd.DataFrame:
-    """Q5-flavoured multi-join: order value by customer nation (see
-    _nation_order_fine for the distributed shape)."""
-    out = _nation_order_fine(sf_dir)
-    out["total"] = round_away(out["total"] / 10000.0, 2)
-    out = out.sort_values(["r_name", "n_name"]).reset_index(drop=True)
-    return out[["r_name", "n_name", "total", "n_orders"]]
-
-
-def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
-    """ROLLUP aggregate: order count + value by (region, nation) with
-    per-region subtotals and a grand total ('ALL' sentinel rows, no real
-    region/nation uses that name). Subtotals are derived from the EXACT
-    int64 x1e4 fine aggregate (25 rows, driver-side), so they are bit-equal
-    to SQL's GROUP BY ROLLUP over the raw rows — no re-rounding drift.
-    Oracle: DuckDB GROUP BY ROLLUP + GROUPING()."""
-    fine = _nation_order_fine(sf_dir)
-    lvl1 = (fine.groupby("r_name", as_index=False)[["total", "n_orders"]]
-            .sum().assign(n_name="ALL"))
-    lvl2 = pd.DataFrame({"r_name": ["ALL"], "n_name": ["ALL"],
-                         "total": [fine["total"].sum()],
-                         "n_orders": [fine["n_orders"].sum()]})
-    out = pd.concat([fine, lvl1, lvl2], ignore_index=True)
-    out["total"] = round_away(out["total"] / 10000.0, 2)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    out = out.sort_values(["r_name", "n_name"]).reset_index(drop=True)
-    return out[["r_name", "n_name", "total", "n_orders"]]
-
-
-def returned_item_loss(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """TPC-H Q10-style: top-k customers by revenue lost to returned items —
-    a four-table join chain (lineitem -> orders -> customer -> nation) with
-    partial aggregation BEFORE each shuffle so the exchanges carry one row
-    per (order | customer), never per line item:
-
-    lineitem[R] --partial-sum/order--> adaptive_join orders --partial-sum/
-    cust--> adaptive_join customer --broadcast nation (25 rows)--> topk.
-    The adaptive joins broadcast the dimension side while a measured count
-    bounds it and fall back to the bucketed shuffle beyond.
-    """
-    from ..ops.joins import adaptive_join
-
-    li = rd.read_parquet(_t(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount", "l_returnflag"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("l_returnflag"), pa.scalar("R")))
-        rev = pc.multiply(t.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0), t.column("l_discount")))
-        # rev has exactly 4 decimals (2-dec price x 2-dec discount), so the
-        # x1e4 int64 scaling is exact and distributed sums are associative
-        x = pa.table({"o_orderkey": t.column("l_orderkey"),
-                      "rev": _scale_i64(rev)})
-        agg = x.group_by(["o_orderkey"]).aggregate([("rev", "sum")])
-        return agg.rename_columns(["o_orderkey", "rev"])
-
-    per_order = rd.read_parquet(
-        _t(sf_dir, "orders"), columns=["o_orderkey", "o_custkey"])
-    per_order = adaptive_join(
-        li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        per_order, on="o_orderkey")
-
-    def cust_partials(t: pa.Table) -> pa.Table:
-        # project only; grouped_sums_ds runs the local combiner itself
-        return pa.table({"c_custkey": t.column("o_custkey"),
-                         "rev": t.column("rev")})
-
-    per_cust = grouped_sums_ds(
-        per_order.map_batches(cust_partials, batch_format="pyarrow"),
-        keys=["c_custkey"], sum_cols={"revenue": "rev"})
-
-    cust = rd.read_parquet(_t(sf_dir, "customer"),
-                           columns=["c_custkey", "c_name", "c_nationkey"])
-    named = adaptive_join(per_cust, cust, on="c_custkey")
-    nation = rd.read_parquet(_t(sf_dir, "nation"),
-                             columns=["n_nationkey", "n_name"]).to_pandas()
-    nation = nation.rename(columns={"n_nationkey": "c_nationkey"})
-    named = broadcast_join(named, nation, on="c_nationkey")
-
-    top = topk_rounded(named, by=["revenue", "c_custkey"],
-                       ascending=[False, True], k=k,
-                       round_col="revenue", ndigits=2, divisor=10000.0,
-                       columns=["c_custkey", "c_name", "n_name", "revenue"])
-    return top[["c_custkey", "c_name", "n_name", "revenue"]].reset_index(drop=True)
-
-
-def large_customer_orders(sf_dir: str, threshold: float = 150.0,
-                          k: int = 100) -> pd.DataFrame:
-    """TPC-H Q18-style: orders whose total quantity exceeds ``threshold``
-    (groupby-HAVING over lineitem), joined back to orders and customer.
-    The HAVING filter runs distributed right after the per-order aggregate;
-    orders is SEMI-REDUCED to the qualifying keys before the join (a
-    measured-small set -> broadcast semi; bucketed beyond), so neither the
-    full orders nor the full customer table is ever shuffled against the
-    tiny qualifying side."""
-    from ..ops.joins import adaptive_join, adaptive_semi_join
-
-    li = rd.read_parquet(_t(sf_dir, "lineitem"),
-                         columns=["l_orderkey", "l_quantity"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        # project + scale only; grouped_sums_ds runs the local combiner
-        return pa.table({"o_orderkey": t.column("l_orderkey"),
-                         "qty": _scale_i64(t.column("l_quantity"))})
-
-    per_order = grouped_sums_ds(
-        li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["o_orderkey"], sum_cols={"qty": "qty"})
-    cut = int(round(threshold * 10000))
-    # materialize the qualifying set: three consumers (semi gate, semi
-    # collect, join) must not re-run the lineitem aggregate
-    big = per_order.map_batches(
-        lambda t: t.filter(pc.greater(t.column("qty"), pa.scalar(cut, pa.int64()))),
-        batch_format="pyarrow").materialize()
-
-    orders = rd.read_parquet(
-        _t(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    orders_red = adaptive_semi_join(orders, big, on="o_orderkey")
-    big = adaptive_join(big, orders_red, on="o_orderkey")
-    cust = rd.read_parquet(_t(sf_dir, "customer"),
-                           columns=["c_custkey", "c_name"])
-    big = big.map_batches(
-        lambda t: t.rename_columns(
-            ["c_custkey" if c == "o_custkey" else c for c in t.column_names]),
-        batch_format="pyarrow")
-    big = adaptive_join(big, cust, on="c_custkey")
-
-    def finish(t: pa.Table) -> pa.Table:
-        qty = pc.divide(t.column("qty").cast(pa.float64()), pa.scalar(10000.0))
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "c_custkey": t.column("c_custkey"),
-            "c_name": t.column("c_name"),
-            "total_qty": qty,
-            "o_totalprice": t.column("o_totalprice"),
-        })
-
-    out_ds = big.map_batches(finish, batch_format="pyarrow")
-    # quantities are whole numbers: raw order == rounded order, plain topk
-    top = topk_ds(out_ds, by=["total_qty", "o_orderkey"],
-                  ascending=[False, True], k=k,
-                  columns=["o_orderkey", "c_custkey", "c_name",
-                           "total_qty", "o_totalprice"])
-    top["total_qty"] = round_away(top["total_qty"], 2)
-    top["o_totalprice"] = round_away(top["o_totalprice"], 2)
-    return top.reset_index(drop=True)
-
-
-def customers_without_orders(sf_dir: str) -> pd.DataFrame:
-    """Anti join: customers that placed no orders — bucketed anti join (no
-    driver key-set collection; the driver sees only the final count)."""
-    orders = rd.read_parquet(_t(sf_dir, "orders"), columns=["o_custkey"])
-    cust = rd.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey"])
-    out = adaptive_semi_join(cust, orders, on="c_custkey", right_on="o_custkey",
-                             negate=True)
-    return pd.DataFrame({"n_customers": [out.count()]})
-
-
 def _keyed_segments(ds, key: str, num_buckets: int = 64):
     """Scale-safe per-key processing (the ``_band_groups`` co-grouping
     pattern from ops/dedup): hash-bucket ``key`` into ``num_buckets``
@@ -493,94 +134,6 @@ def _keyed_segments(ds, key: str, num_buckets: int = 64):
         return t.append_column("__bucket", _mix_bucket(t.column(key), num_buckets))
 
     return ds.map_batches(add_bucket, batch_format="pyarrow").groupby("__bucket")
-
-
-def event_sessions(sf_dir: str, gap_minutes: int = 30, k: int = 15) -> pd.DataFrame:
-    """Gap-based sessionization per user: split each user's ts-sorted events
-    on >gap inactivity, count events per session; top-k longest sessions.
-    Users are hash-bucketed into co-groups and ALL users in a bucket are
-    sessionized in one vectorized pass (boundaries = user change OR gap);
-    each bucket emits only its local top-k, so the driver merges
-    num_buckets x k rows. Oracle: SQL window lag + cumulative sum.
-    """
-    import numpy as np
-
-    gap_us = gap_minutes * 60 * 1_000_000
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        t = ts.astype("int64")
-        if len(t) == 0:
-            return pd.DataFrame({"user_id": uid, "session_start": ts,
-                                 "n_events": np.array([], dtype="int64")})
-        boundary = np.r_[True, (uid[1:] != uid[:-1]) | (np.diff(t) > gap_us)]
-        starts = np.flatnonzero(boundary)
-        lens = np.diff(np.r_[starts, len(t)])
-        out = pd.DataFrame({"user_id": uid[starts], "session_start": ts[starts],
-                            "n_events": lens.astype("int64")})
-        # local top-k: any global winner is a winner of its own bucket
-        return out.sort_values(["n_events", "user_id", "session_start"],
-                               ascending=[False, True, True]).head(k)
-
-    sessions = _keyed_segments(ds, "user_id").map_groups(
-        per_bucket, batch_format="pandas")
-    out = ensure_columns(sessions.to_pandas(),
-                         {"user_id": "int64",
-                          "session_start": "datetime64[us]",
-                          "n_events": "int64"})
-    out = out.sort_values(["n_events", "user_id", "session_start"],
-                          ascending=[False, True, True]).head(k)
-    return out[["user_id", "session_start", "n_events"]].reset_index(drop=True)
-
-
-def user_event_gaps(sf_dir: str, k: int = 25) -> pd.DataFrame:
-    """Lag-window primitive: for each event, microseconds since the SAME
-    user's previous event; top-k largest gaps. Same co-group shape as
-    sessionization — users hash-bucketed into 64 complete-key groups, one
-    vectorized diff over (user, ts, event_id)-sorted segments per bucket,
-    local top-k per bucket, tiny driver merge. Oracle: SQL lag() window
-    with the identical (ts, event_id) tie order."""
-    import numpy as np
-
-    ds = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts"])
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        eid = g["event_id"].to_numpy()
-        t = ts.astype("int64")
-        if len(t) < 2:
-            return pd.DataFrame({"event_id": eid[:0], "user_id": uid[:0],
-                                 "ts": ts[:0],
-                                 "gap_us": np.array([], dtype="int64")})
-        same_user = uid[1:] == uid[:-1]
-        gap = np.diff(t)
-        out = pd.DataFrame({"event_id": eid[1:][same_user],
-                            "user_id": uid[1:][same_user],
-                            "ts": ts[1:][same_user],
-                            "gap_us": gap[same_user].astype("int64")})
-        # local top-k: a global winner wins its own bucket
-        return out.sort_values(["gap_us", "event_id"],
-                               ascending=[False, True]).head(k)
-
-    gaps = _keyed_segments(ds, "user_id").map_groups(
-        per_bucket, batch_format="pandas")
-    out = gaps.to_pandas()
-    if out.empty and "gap_us" not in out.columns:
-        # a fully-empty Dataset loses its schema (ADVICE r4 pattern)
-        out = pd.DataFrame({"event_id": pd.Series(dtype="int64"),
-                            "user_id": pd.Series(dtype="int64"),
-                            "ts": pd.Series(dtype="datetime64[us]"),
-                            "gap_us": pd.Series(dtype="int64")})
-    out = out.sort_values(["gap_us", "event_id"],
-                          ascending=[False, True]).head(k)
-    out["ts"] = out["ts"].astype("datetime64[us]")
-    return out[["event_id", "user_id", "ts", "gap_us"]].reset_index(drop=True)
 
 
 def purchase_last_click(sf_dir: str) -> pd.DataFrame:
@@ -607,132 +160,6 @@ def purchase_last_click(sf_dir: str) -> pd.DataFrame:
     for c in ("ts", "prev_click_ts"):
         out[c] = out[c].astype("datetime64[us]")
     return out[["event_id", "user_id", "ts", "prev_click_ts"]]
-
-
-def rolling_hour_counts(sf_dir: str, k: int = 25) -> pd.DataFrame:
-    """Sliding-window aggregate: for each event, the number of events by the
-    same user in the preceding hour (inclusive). Per-user sorted groups +
-    vectorized two-pointer window via searchsorted; top-k busiest moments.
-    Oracle: SQL window RANGE frame.
-    """
-    import numpy as np
-
-    hour_us = 3_600_000_000
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["event_id", "user_id", "ts"])
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        t = g["ts"].to_numpy().astype("int64")
-        n = len(t)
-        if n == 0:
-            return g.head(0).assign(n_last_hour=np.array([], dtype="int64"))[
-                ["event_id", "user_id", "ts", "n_last_hour"]]
-        # vectorized windowed count across ALL user segments at once:
-        # shift each segment's (re-based) timestamps into a disjoint int64
-        # block — blocks are separated by > hour_us, so one global
-        # searchsorted answers every per-segment window query. Segments are
-        # chunked so seg_index * block_width never overflows int64.
-        seg = np.cumsum(np.r_[0, (uid[1:] != uid[:-1]).astype(np.int64)])
-        t0 = t - t.min()
-        block = int(t0.max()) + hour_us + 1
-        counts = np.empty(n, dtype=np.int64)
-        segs_per_chunk = max(1, (1 << 62) // block)
-        chunk_of_seg = seg // segs_per_chunk
-        for c in np.unique(chunk_of_seg):
-            rows = np.flatnonzero(chunk_of_seg == c)
-            shifted = t0[rows] + (seg[rows] - seg[rows[0]]) * block
-            lo = np.searchsorted(shifted, shifted - hour_us, side="left")
-            # peer-inclusive upper bound: SQL RANGE ... CURRENT ROW counts
-            # all rows sharing the current timestamp
-            hi = np.searchsorted(shifted, shifted, side="right")
-            counts[rows] = hi - lo
-        out = g.assign(n_last_hour=counts)
-        # local top-k per bucket; the driver merges num_buckets x k rows
-        return out.sort_values(["n_last_hour", "event_id"],
-                               ascending=[False, True]).head(k)[
-            ["event_id", "user_id", "ts", "n_last_hour"]]
-
-    rolled = _keyed_segments(ds, "user_id").map_groups(
-        per_bucket, batch_format="pandas")
-    out = ensure_columns(rolled.to_pandas(),
-                         {"event_id": "int64", "user_id": "int64",
-                          "ts": "datetime64[us]", "n_last_hour": "int64"})
-    out = out.sort_values(["n_last_hour", "event_id"],
-                          ascending=[False, True]).head(k)
-    out["ts"] = out["ts"].astype("datetime64[us]")
-    return out[["event_id", "user_id", "ts", "n_last_hour"]].reset_index(drop=True)
-
-
-def top_events_per_type(sf_dir: str, per_group: int = 3) -> pd.DataFrame:
-    """Top-k per group (window rank): the ``per_group`` highest-value events
-    of each event type. groupby(type).map_groups nlargest; oracle:
-    row_number() OVER (PARTITION BY ... ORDER BY ...)."""
-    ds = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["event_id", "event_type", "value"])
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        # per-batch combiner: only each type's local top-k can survive
-        df = t.to_pandas()
-        return pa.Table.from_pandas(
-            df.sort_values(["value", "event_id"], ascending=[False, True])
-            .groupby("event_type", sort=False).head(per_group),
-            preserve_index=False,
-        )
-
-    pre = ds.map_batches(local_topk, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["value", "event_id"], ascending=[False, True]).head(per_group)
-
-    out = ensure_columns(
-        pre.groupby("event_type").map_groups(
-            final_topk, batch_format="pandas").to_pandas(),
-        {"event_type": "object", "event_id": "int64", "value": "float64"})
-    out["value"] = round_away(out["value"], 2)
-    return out.sort_values(["event_type", "value", "event_id"],
-                           ascending=[True, False, True])[
-        ["event_type", "event_id", "value"]].reset_index(drop=True)
-
-
-def user_event_pivot(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Pivot: per-user event counts spread across event-type columns for the
-    top-k most active users. Partial (user,type) counts -> pandas pivot;
-    oracle: conditional-sum CASE pivot."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "event_type"])
-    counts = grouped_sums(ds, keys=["user_id", "event_type"], sum_cols={},
-                          count_alias="n")
-    wide = counts.pivot_table(index="user_id", columns="event_type", values="n",
-                              fill_value=0, aggfunc="sum").reset_index()
-    wide.columns.name = None
-    for c in ("click", "error", "purchase", "signup", "view"):
-        if c not in wide.columns:
-            wide[c] = 0
-        wide[c] = wide[c].astype("int64")
-    wide["total"] = wide[["click", "error", "purchase", "signup", "view"]].sum(axis=1)
-    out = wide.sort_values(["total", "user_id"], ascending=[False, True]).head(k)
-    return out[["user_id", "click", "error", "purchase", "signup", "view",
-                "total"]].reset_index(drop=True)
-
-
-def props_k_by_type(sf_dir: str) -> pd.DataFrame:
-    """Semi-structured extraction: parse the JSON ``props`` column with a
-    vectorized regex kernel (no per-row json.loads) and aggregate the ``k``
-    field per event type. Oracle: DuckDB json_extract."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["event_type", "props"])
-
-    def extract(t: pa.Table) -> pa.Table:
-        m = pc.extract_regex(t.column("props"), r'"k":\s*(?P<k>-?\d+)')
-        k = pc.struct_field(m, "k").cast(pa.int64())
-        return pa.table({"event_type": t.column("event_type"), "k": k})
-
-    prepped = ds.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(prepped, keys=["event_type"], sum_cols={"sum_k": "k"},
-                       count_alias="n")
-    out["sum_k"] = out["sum_k"].astype("int64")
-    out["avg_k"] = round_away(out.sum_k / out.n, 2)
-    return out.sort_values("event_type")[
-        ["event_type", "n", "sum_k", "avg_k"]].reset_index(drop=True)
 
 
 def event_value_quantiles(sf_dir: str) -> pd.DataFrame:
@@ -781,64 +208,6 @@ def event_value_quantiles(sf_dir: str) -> pd.DataFrame:
                          {"event_type": "object", "p50": "float64",
                           "p90": "float64"})
     return out.sort_values("event_type").reset_index(drop=True)
-
-
-def orders_per_customer_histogram(sf_dir: str) -> pd.DataFrame:
-    """LEFT-join shape: order count per customer INCLUDING zero-order
-    customers, rolled into a histogram (n_orders -> n_customers).
-    Decomposed shuffle-light: per-custkey counts from orders (partial-agg
-    groupby), histogram over those counts (second tiny groupby), and the
-    zero bucket from a distributed anti join — the driver only ever sees
-    the histogram."""
-    from ..ops.joins import adaptive_semi_join
-
-    orders = rd.read_parquet(_t(sf_dir, "orders"), columns=["o_custkey"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        agg = t.group_by(["o_custkey"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["c_custkey", "n"])
-
-    per_cust = grouped_sums_ds(
-        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["c_custkey"], sum_cols={"n_orders": "n"})
-    hist = grouped_sums(per_cust, keys=["n_orders"], sum_cols={},
-                        count_alias="n_customers")
-
-    cust = rd.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey"])
-    n_zero = adaptive_semi_join(cust, orders, on="c_custkey",
-                                right_on="o_custkey", negate=True).count()
-    if n_zero:
-        hist = pd.concat([pd.DataFrame({"n_orders": [0],
-                                        "n_customers": [n_zero]}), hist],
-                         ignore_index=True)
-    hist = hist.astype({"n_orders": "int64", "n_customers": "int64"})
-    return hist.sort_values("n_orders").reset_index(drop=True)
-
-
-def monthly_cumulative_revenue(sf_dir: str) -> pd.DataFrame:
-    """Running-total window shape: monthly order revenue plus its cumulative
-    sum. The heavy part (per-month sums over all orders) is the distributed
-    partial-agg groupby on exact scaled int64; the window itself runs on the
-    RESULT (one row per month — result-sized, not data-sized), in exact
-    integer cents so the cumulative matches DuckDB's
-    SUM(...) OVER (ORDER BY month) bit-for-bit."""
-    ds = rd.read_parquet(_t(sf_dir, "orders"),
-                         columns=["o_orderdate", "o_totalprice"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        month = pc.strftime(t.column("o_orderdate"), format="%Y-%m")
-        return pa.table({"month": month,
-                         "rev": _scale_i64(t.column("o_totalprice"))})
-
-    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(prepped, keys=["month"], sum_cols={"rev": "rev"})
-    out = out.sort_values("month").reset_index(drop=True)
-    # exact 2-decimal rounding of the scaled sum, held as integer cents so
-    # the running total has no fp accumulation at all
-    cents = round_away(out["rev"].to_numpy() / 100.0, 0).astype(np.int64)
-    out["revenue"] = cents / 100.0
-    out["cum_revenue"] = np.cumsum(cents) / 100.0
-    return out[["month", "revenue", "cum_revenue"]]
 
 
 def supplier_part_join(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -913,164 +282,6 @@ def user_funnel(sf_dir: str, stages=("view", "click", "purchase")) -> pd.DataFra
     })
 
 
-def brand_price_band_pairs(sf_dir: str, band_cents: int = 100) -> pd.DataFrame:
-    """Banded non-equi self-join: pairs of same-brand parts whose retail
-    prices differ by under ``band_cents`` (ops.joins.banded_self_join —
-    value-bucketing with single ghost replication, no all-pairs shuffle).
-    Prices are integer cents so the band predicate is exact on both sides.
-    Oracle: self-join with abs(cents difference) < band."""
-    from ..ops.joins import banded_self_join
-
-    ds = rd.read_parquet(_t(sf_dir, "part"),
-                         columns=["p_partkey", "p_brand", "p_retailprice"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("price_cents", _scale_i64(t.column("p_retailprice"), 100.0))
-                   .drop_columns(["p_retailprice"]),
-        batch_format="pyarrow")
-    out = ensure_columns(
-        banded_self_join(ds, group_col="p_brand", value_col="price_cents",
-                         band=band_cents, id_col="p_partkey").to_pandas(),
-        {"p_brand": "object", "id_lo": "int64", "id_hi": "int64",
-         "dvalue": "int64"})
-    out = out.rename(columns={"id_lo": "k1", "id_hi": "k2", "dvalue": "dprice_cents"})
-    out = out.sort_values(["p_brand", "k1", "k2"]).reset_index(drop=True)
-    return out[["p_brand", "k1", "k2", "dprice_cents"]]
-
-
-def cheapest_supplier_per_part(sf_dir: str, k: int = 500) -> pd.DataFrame:
-    """Argmin join (TPC-H Q2 shape): for each part, the supplier of its
-    cheapest lineitem (ties -> smallest suppkey), with part/supplier names
-    joined on. Per-batch combiner shrinks each batch to one candidate per
-    partkey (sort + drop_duplicates, vectorized); hash co-groups finish the
-    argmin; only the k smallest partkeys ship to the driver, and the name
-    joins read the dimension tables pruned + filtered to those k keys.
-    Oracle: min-cents per part joined back with min-suppkey tiebreak."""
-    ds = rd.read_parquet(_t(sf_dir, "lineitem"),
-                         columns=["l_partkey", "l_suppkey", "l_extendedprice"])
-
-    def combine(t: pa.Table) -> pa.Table:
-        t = t.append_column("min_price_cents",
-                            _scale_i64(t.column("l_extendedprice"), 100.0))
-        df = t.drop_columns(["l_extendedprice"]).to_pandas()
-        df = df.sort_values(["l_partkey", "min_price_cents", "l_suppkey"],
-                            kind="mergesort")
-        return pa.Table.from_pandas(df.drop_duplicates("l_partkey"),
-                                    preserve_index=False)
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["l_partkey", "min_price_cents", "l_suppkey"],
-                          kind="mergesort").drop_duplicates("l_partkey")
-        # local head-k by partkey: a global k-smallest partkey wins its bucket
-        return g.nsmallest(k, "l_partkey")[["l_partkey", "l_suppkey", "min_price_cents"]]
-
-    cand = ds.map_batches(combine, batch_format="pyarrow")
-    picked = ensure_columns(
-        _keyed_segments(cand, "l_partkey").map_groups(
-            finish, batch_format="pandas").to_pandas(),
-        {"l_partkey": "int64", "l_suppkey": "int64",
-         "min_price_cents": "int64"})
-    picked = picked.nsmallest(k, "l_partkey").reset_index(drop=True)
-
-    part = rd.read_parquet(_t(sf_dir, "part"), columns=["p_partkey", "p_name"])
-    keys = pa.array(picked["l_partkey"].to_numpy())
-    pnames = ensure_columns(part.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("p_partkey"), value_set=keys)),
-        batch_format="pyarrow").to_pandas(),
-        {"p_partkey": "int64", "p_name": "object"})
-    sup = rd.read_parquet(_t(sf_dir, "supplier"), columns=["s_suppkey", "s_name"])
-    skeys = pa.array(picked["l_suppkey"].unique())
-    snames = ensure_columns(sup.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("s_suppkey"), value_set=skeys)),
-        batch_format="pyarrow").to_pandas(),
-        {"s_suppkey": "int64", "s_name": "object"})
-    out = (picked.rename(columns={"l_partkey": "p_partkey", "l_suppkey": "s_suppkey"})
-           .merge(pnames, on="p_partkey").merge(snames, on="s_suppkey"))
-    out = out.sort_values("p_partkey").reset_index(drop=True)
-    return out[["p_partkey", "p_name", "s_suppkey", "s_name", "min_price_cents"]]
-
-
-def viewers_never_purchased(sf_dir: str, k: int = 50,
-                            since: str = "2024-01-30") -> pd.DataFrame:
-    """Set difference at the user grain: users who VIEWED on/after ``since``
-    (the table's final day) but never purchased in that window, smallest k
-    user ids. Both sides reduce to per-batch-distinct keys, then a bucketed
-    ANTI join checks membership with no driver-side key collection
-    (ops.joins.bucket_semi_join negate=True). Oracle: EXCEPT."""
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.joins import bucket_semi_join
-
-    cutoff = pa.scalar(np.datetime64(since, "us"))
-    ev = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["user_id", "event_type", "ts"])
-
-    def side(etype):
-        return ev.map_batches(
-            lambda t, e=etype: t.filter(
-                pc.and_(pc.equal(t.column("event_type"), e),
-                        pc.greater_equal(t.column("ts"), cutoff)))
-            .select(["user_id"]).group_by(["user_id"]).aggregate([]),
-            batch_format="pyarrow")
-
-    viewers, purchasers = side("view"), side("purchase")
-    never = bucket_semi_join(viewers, purchasers, on="user_id", negate=True)
-    # batch-distinct is not globally distinct (a user spans batches):
-    # finish with one exact distinct (groupby with dropped count) before top-k
-    never = grouped_sums_ds(never, keys=["user_id"], sum_cols={})
-    return topk_ds(never, by=["user_id"], ascending=[True], k=k)
-
-
-def orders_above_customer_avg(sf_dir: str, k: int = 25) -> pd.DataFrame:
-    """Correlated-subquery shape: orders whose total price exceeds their own
-    customer's average order price. The per-customer (sum, count) aggregate
-    stays a Dataset and joins back bucketed on custkey; the comparison is
-    exact integer arithmetic (cents x count > sum-of-cents) so both engines
-    agree on every boundary row. Oracle: join against GROUP BY aggregate
-    with the identical integer predicate."""
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.joins import bucket_join
-
-    ds = rd.read_parquet(_t(sf_dir, "orders"),
-                         columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    with_cents = ds.map_batches(
-        lambda t: t.append_column("cents", _scale_i64(t.column("o_totalprice"), 100.0)),
-        batch_format="pyarrow")
-    per_cust = grouped_sums_ds(with_cents, keys=["o_custkey"],
-                               sum_cols={"sum_cents": "cents"},
-                               count_alias="n_orders")
-    joined = bucket_join(with_cents, per_cust, on="o_custkey")
-
-    def above(t: pa.Table) -> pa.Table:
-        lhs = pc.multiply(t.column("cents"), t.column("n_orders"))
-        return t.filter(pc.greater(lhs, t.column("sum_cents"))).select(
-            ["o_orderkey", "o_custkey", "o_totalprice"])
-
-    out = topk_ds(joined.map_batches(above, batch_format="pyarrow"),
-                  by=["o_totalprice", "o_orderkey"],
-                  ascending=[False, True], k=k,
-                  columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    return out[["o_orderkey", "o_custkey", "o_totalprice"]]
-
-
-def region_nation_cube(sf_dir: str) -> pd.DataFrame:
-    """CUBE aggregate: region_nation_rollup plus the (ALL, nation) slice —
-    all four grouping sets of (region, nation), derived from the same EXACT
-    int64 x1e4 fine aggregate so every subtotal is bit-equal to SQL's
-    GROUP BY CUBE over the raw rows. Oracle: DuckDB GROUP BY CUBE."""
-    fine = _nation_order_fine(sf_dir)
-    by_region = (fine.groupby("r_name", as_index=False)[["total", "n_orders"]]
-                 .sum().assign(n_name="ALL"))
-    by_nation = (fine.groupby("n_name", as_index=False)[["total", "n_orders"]]
-                 .sum().assign(r_name="ALL"))
-    grand = pd.DataFrame({"r_name": ["ALL"], "n_name": ["ALL"],
-                          "total": [fine["total"].sum()],
-                          "n_orders": [fine["n_orders"].sum()]})
-    out = pd.concat([fine, by_region, by_nation, grand], ignore_index=True)
-    out["total"] = round_away(out["total"] / 10000.0, 2)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    out = out.sort_values(["r_name", "n_name"]).reset_index(drop=True)
-    return out[["r_name", "n_name", "total", "n_orders"]]
-
-
 def approx_users_by_type_invariants(sf_dir: str) -> pd.DataFrame:
     """Per-event-type HLL distinct-user estimates, gated by their error
     bound: (n_groups, n_violations) with violations = groups whose HLL
@@ -1108,160 +319,11 @@ def approx_users_by_type_invariants(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def user_day_click_purchase(sf_dir: str) -> pd.DataFrame:
-    """Per-(user, day) click vs purchase activity — the FULL OUTER join
-    shape: a user-day with clicks but no purchase (abandonment) and one
-    with a purchase but no click (direct conversion) both appear, zero-
-    filled on the missing side.
-
-    Scale shape: each side is a partial-agg groupby on the composite
-    (user_id, day) key; the outer join is ops/joins.bucket_join with a
-    composite-key bucket route (pandas row hash over both key columns —
-    equal pairs co-locate) and how='outer', so neither side is collected
-    or broadcast and unmatched rows of BOTH sides survive per bucket.
-    """
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums_ds
-    from ..ops.joins import bucket_join
-
-    ds = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["user_id", "ts", "event_type"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t.column("event_type"),
-                     value_set=pa.array(["click", "purchase"]))
-        f = t.filter(m)
-        return pa.table({
-            "user_id": f.column("user_id"),
-            "day": pc.floor_temporal(f.column("ts"), unit="day"),
-            "event_type": f.column("event_type"),
-        })
-
-    # ONE events scan -> one (user, day, type) partial-agg exchange; both
-    # join sides then branch off the tiny materialized aggregate
-    per = grouped_sums_ds(ds.map_batches(prep, batch_format="pyarrow"),
-                          keys=["user_id", "day", "event_type"],
-                          sum_cols={}, count_alias="n").materialize()
-
-    def side(which: str, alias: str):
-        def fn(t: pa.Table) -> pa.Table:
-            f = t.filter(pc.equal(t.column("event_type"), which))
-            return pa.table({"user_id": f.column("user_id"),
-                             "day": f.column("day"),
-                             alias: f.column("n")})
-
-        return per.map_batches(fn, batch_format="pyarrow")
-
-    joined = bucket_join(side("click", "n_clicks"),
-                         side("purchase", "n_purchases"),
-                         on=["user_id", "day"], how="outer")
-
-    def fill(t: pd.DataFrame) -> pd.DataFrame:
-        for c in ("n_clicks", "n_purchases"):
-            t[c] = t[c].fillna(0).astype("int64")
-        t["user_id"] = t["user_id"].astype("int64")
-        return t
-
-    out = joined.map_batches(fill, batch_format="pandas").to_pandas()
-    if out.empty:
-        return pd.DataFrame({"user_id": pd.Series(dtype="int64"),
-                             "day": pd.Series(dtype="datetime64[us]"),
-                             "n_clicks": pd.Series(dtype="int64"),
-                             "n_purchases": pd.Series(dtype="int64")})
-    return (out[["user_id", "day", "n_clicks", "n_purchases"]]
-            .sort_values(["user_id", "day"]).reset_index(drop=True))
-
-
 # ---------------------------------------------------------------------------
 # Round-5 session-8 additions: classic multi-join (Q5), cohort retention,
 # market-basket pairs, sufficient-stats correlation, skyline, interval join,
 # per-group dense-rank, exact global deciles.
 # ---------------------------------------------------------------------------
-
-
-def q5_local_supplier_revenue(sf_dir: str, year: int = 1995) -> pd.DataFrame:
-    """TPC-H Q5: revenue per nation from lineitems of one order-year where
-    the customer and the supplier share a nation ("local" supply chains).
-
-    Scale shape — the full 6-table join with NO all-to-all beyond two keyed
-    exchanges: nation (25 rows) is a driver-side dim; supplier attaches to
-    lineitem via the measured-adaptive join (broadcast at test scale,
-    bucketed when suppliers are big); lineitem revenue is pre-aggregated per
-    (orderkey, supplier-nation) BEFORE the orderkey exchange so the shuffle
-    carries one row per (order, nation) not per lineitem; orders filter to
-    the year at the read and attach c_nationkey via one bucketed join.
-    Revenue is exact int64 x1e4 (q1's idiom) so the distributed sum matches
-    DuckDB bit-for-bit."""
-    from ..ops.agg import grouped_sums
-    from ..ops.joins import adaptive_join, adaptive_semi_join
-
-    lo = pa.scalar(np.datetime64(f"{year}-01-01T00:00:00", "us"))
-    hi = pa.scalar(np.datetime64(f"{year + 1}-01-01T00:00:00", "us"))
-
-    def order_prep(t: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(t.column("o_orderdate"), lo),
-                    pc.less(t.column("o_orderdate"), hi))
-        f = t.filter(m)
-        return pa.table({"o_orderkey": f.column("o_orderkey"),
-                         "c_custkey": f.column("o_custkey")})
-
-    orders = rd.read_parquet(
-        _t(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(order_prep, batch_format="pyarrow", zero_copy_batch=True)
-    cust = rd.read_parquet(_t(sf_dir, "customer"),
-                           columns=["c_custkey", "c_nationkey"])
-    # every join below is measured-adaptive: broadcast when the right side
-    # proves small (zero shuffles at bench scale — the chain is otherwise
-    # all-to-all-latency-bound, not data-bound), hash-bucketed at 100-TB
-    # cardinalities
-    orders_n = adaptive_join(orders, cust, on="c_custkey")
-
-    def li_prep(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0), t.column("l_discount")))
-        return pa.table({"o_orderkey": t.column("l_orderkey"),
-                         "s_suppkey": t.column("l_suppkey"),
-                         "rev": _scale_i64(rev)})
-
-    li = rd.read_parquet(
-        _t(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_prep, batch_format="pyarrow", zero_copy_batch=True)
-    # dynamic partition pruning: the year filter keeps ~1/7 of orders, so
-    # semi-reduce lineitem by the surviving orderkeys BEFORE the supplier
-    # join and the orderkey exchange (broadcast of the measured-small key
-    # set here; bucketed semi when the filtered orders are big)
-    orders_n = orders_n.materialize()
-    li = adaptive_semi_join(li, orders_n, on="o_orderkey")
-    supp = rd.read_parquet(_t(sf_dir, "supplier"),
-                           columns=["s_suppkey", "s_nationkey"])
-    li_n = adaptive_join(li, supp, on="s_suppkey")
-
-    def li_partial(t: pa.Table) -> pa.Table:
-        agg = t.group_by(["o_orderkey", "s_nationkey"]).aggregate(
-            [("rev", "sum")])
-        return agg.rename_columns(["o_orderkey", "s_nationkey", "rev"])
-
-    li_agg = li_n.map_batches(li_partial, batch_format="pyarrow")
-    joined = adaptive_join(li_agg, orders_n, on="o_orderkey")
-
-    def local_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t.column("s_nationkey"),
-                                 t.column("c_nationkey")))
-
-    fine = grouped_sums(joined.map_batches(local_only, batch_format="pyarrow"),
-                        keys=["s_nationkey"], sum_cols={"rev": "rev"})
-    nation = ensure_columns(
-        rd.read_parquet(_t(sf_dir, "nation")).to_pandas(),
-        {"n_nationkey": "int64", "n_name": "object"})
-    out = fine.merge(nation[["n_nationkey", "n_name"]],
-                     left_on="s_nationkey", right_on="n_nationkey")
-    out["revenue"] = round_away(out["rev"] / 10000.0, 2)
-    out = out.sort_values(["revenue", "n_name"],
-                          ascending=[False, True]).reset_index(drop=True)
-    return out[["n_name", "revenue"]]
 
 
 def cohort_retention(sf_dir: str) -> pd.DataFrame:
@@ -1387,60 +449,6 @@ def copurchase_pairs(sf_dir: str, k: int = 25, min_support: int = 2) -> pd.DataF
                            ascending=[False, True, True]).head(k)
            .astype({"k1": "int64", "k2": "int64", "support": "int64"}))
     return out[["k1", "k2", "support"]].reset_index(drop=True)
-
-
-def grouped_corr_quantity_discount(sf_dir: str) -> pd.DataFrame:
-    """Pearson correlation of quantity vs discount per return flag, computed
-    from EXACT integer sufficient statistics (n, Σq, Σd, Σq², Σd², Σqd) —
-    the canonical one-pass distributed-statistics shape: every moment is an
-    associative int64 sum (quantity is integral; discount exact at x100), so
-    the exchange carries 6 numbers per (flag, block) and the driver derives
-    corr in ONE pinned IEEE expression identical to the DuckDB twin
-    (products stay < 2^53 at bench scales; at 10^12 rows the same plan holds
-    with int128/hugeint accumulators)."""
-    from ..ops.agg import grouped_sums, round_away
-
-    ds = rd.read_parquet(_t(sf_dir, "lineitem"),
-                         columns=["l_returnflag", "l_quantity", "l_discount"])
-
-    def moments(t: pa.Table) -> pa.Table:
-        q = _scale_i64(t.column("l_quantity"), 1.0)
-        d = _scale_i64(t.column("l_discount"), 100.0)
-        qn = q.to_numpy(zero_copy_only=False)
-        dn = d.to_numpy(zero_copy_only=False)
-        x = pa.table({"l_returnflag": t.column("l_returnflag"),
-                      "q": q, "d": d,
-                      "qq": pa.array(qn * qn, pa.int64()),
-                      "dd": pa.array(dn * dn, pa.int64()),
-                      "qd": pa.array(qn * dn, pa.int64())})
-        agg = x.group_by(["l_returnflag"]).aggregate(
-            [("q", "sum"), ("d", "sum"), ("qq", "sum"), ("dd", "sum"),
-             ("qd", "sum"), ([], "count_all")])
-        return agg.rename_columns(
-            ["l_returnflag", "q", "d", "qq", "dd", "qd", "n_part"])
-
-    parts = ds.map_batches(moments, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    out = grouped_sums(parts, keys=["l_returnflag"],
-                       sum_cols={"sum_q": "q", "sum_d": "d", "sum_qq": "qq",
-                                 "sum_dd": "dd", "sum_qd": "qd",
-                                 "n": "n_part"})
-    cols = ["n", "sum_q", "sum_d", "sum_qq", "sum_dd", "sum_qd"]
-    if out.empty:
-        return pd.DataFrame({"l_returnflag": pd.Series(dtype="object")}
-                            | {c: pd.Series(dtype="int64") for c in cols}
-                            | {"corr_nano": pd.Series(dtype="int64")})
-    out = out.astype({c: "int64" for c in cols})
-    # pinned IEEE expression order — identical to the SQL twin
-    n = out["n"].to_numpy(np.float64)
-    sq = out["sum_q"].to_numpy(np.float64)
-    sd = out["sum_d"].to_numpy(np.float64)
-    num = n * out["sum_qd"].to_numpy(np.float64) - sq * sd
-    den = (np.sqrt(n * out["sum_qq"].to_numpy(np.float64) - sq * sq)
-           * np.sqrt(n * out["sum_dd"].to_numpy(np.float64) - sd * sd))
-    out["corr_nano"] = round_away(num / den * 1000000000.0, 0).astype("int64")
-    out = out.sort_values("l_returnflag").reset_index(drop=True)
-    return out[["l_returnflag"] + cols + ["corr_nano"]]
 
 
 def _skyline_frame(cents: "np.ndarray", size: "np.ndarray") -> "np.ndarray":
@@ -1707,56 +715,6 @@ def events_partition_pruned_counts(
             [["day", "n_events", "sum_value"]])
 
 
-def quantile_sketch_invariants(sf_dir: str,
-                               percents=(10, 25, 50, 75, 90),
-                               k: int = 256) -> pd.DataFrame:
-    """Mergeable quantile-summary sketch (ops/sketches.quantile_summary)
-    gated by its rank-error bound: the sketch estimates each percentile from
-    O(blocks·k) summary rows, then ONE exact counting pass measures the true
-    rank of every estimate; within_bound pins |rank(est) - pct·n/100| <=
-    n/k (2x the summary's n/(2k) guarantee). SQL pins within_bound = true
-    and reproduces n — a wrong sketch (bad weights, bad merge, bad query
-    rule) lands outside the bound and flips the row."""
-    from ..ops.sketches import quantile_summary, quantile_summary_query
-
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["value"])
-    cents = ds.map_batches(
-        lambda t: pa.table({"cents": _scale_i64(t.column("value"), 100.0)}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    summary, n = quantile_summary(cents, "cents", k=k)
-    empty = pd.DataFrame({"pct": pd.Series(dtype="int64"),
-                          "n": pd.Series(dtype="int64"),
-                          "within_bound": pd.Series(dtype="bool")})
-    if n == 0:
-        return empty
-    est = quantile_summary_query(summary, n, list(percents))
-
-    # one exact distributed counting pass for all estimates at once
-    est_arr = np.asarray(est, np.int64)
-
-    def rank_counts(t: pa.Table) -> pa.Table:
-        v = np.sort(t.column("cents").to_numpy(zero_copy_only=False)
-                    .astype(np.int64))
-        lo = np.searchsorted(v, est_arr, side="left")
-        hi = np.searchsorted(v, est_arr, side="right")
-        return pa.table({"pct": pa.array(np.asarray(percents, np.int64)),
-                         "lo": pa.array(lo, pa.int64()),
-                         "hi": pa.array(hi, pa.int64())})
-
-    parts = cents.map_batches(rank_counts, batch_format="pyarrow") \
-        .to_pandas().groupby("pct", as_index=False)[["lo", "hi"]].sum()
-    parts = parts.set_index("pct").loc[list(percents)]
-    slack = max(1, n // k)
-    target = np.array([(p * n + 99) // 100 for p in percents], np.int64)
-    lo = parts["lo"].to_numpy(np.int64)
-    hi = parts["hi"].to_numpy(np.int64)
-    within = (lo <= target - 1 + slack) & (hi >= target - slack)
-    return pd.DataFrame({"pct": pd.Series(percents, dtype="int64"),
-                         "n": pd.Series([n] * len(percents), dtype="int64"),
-                         "within_bound": pd.Series(within, dtype="bool")})
-
-
 def profile_orders(sf_dir: str) -> pd.DataFrame:
     """Data-profiling surface: per-column (n, n_null, n_distinct) over the
     orders table — the validation report a pipeline publishes before
@@ -1820,114 +778,6 @@ def profile_orders(sf_dir: str) -> pd.DataFrame:
         .sort_values("column").reset_index(drop=True)
 
 
-def event_type_daily_grid(sf_dir: str) -> pd.DataFrame:
-    """Dense dimension-fill: the (day x event_type) count grid with ZERO
-    rows for combinations that never occurred (the shape every daily
-    monitoring dashboard needs). Counts come from one partial-agg groupby;
-    the zero-fill is a driver-side reindex over the observed-dimension
-    product (|days| x |types| is dashboard-sized even when events are
-    not). Oracle: CROSS JOIN of the distinct dimensions LEFT JOIN counts."""
-    from ..ops.agg import grouped_sums
-
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["ts", "event_type"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.strftime(t.column("ts"), format="%Y-%m-%d"),
-            "event_type": t.column("event_type"),
-        })
-
-    counts = grouped_sums(ds.map_batches(prep, batch_format="pyarrow",
-                                         zero_copy_batch=True),
-                          keys=["day", "event_type"], sum_cols={},
-                          count_alias="n_events")
-    if counts.empty:
-        return pd.DataFrame({"day": pd.Series(dtype="object"),
-                             "event_type": pd.Series(dtype="object"),
-                             "n_events": pd.Series(dtype="int64")})
-    days = sorted(counts["day"].unique())
-    types = sorted(counts["event_type"].unique())
-    grid = pd.MultiIndex.from_product([days, types],
-                                      names=["day", "event_type"])
-    out = (counts.set_index(["day", "event_type"])["n_events"]
-           .reindex(grid, fill_value=0).reset_index())
-    out["n_events"] = out["n_events"].astype("int64")
-    return out.sort_values(["day", "event_type"]).reset_index(drop=True)
-
-
-def brand_top_parts_concat(sf_dir: str, top: int = 3) -> pd.DataFrame:
-    """Grouped string aggregation (string_agg / collect_list surface): per
-    brand, the comma-joined keys of its 3 cheapest parts in exact
-    (cents, partkey) order, plus the brand's part count. Same two-stage
-    shape as supplier_rank_in_nation: batches prune to their local top-3
-    per brand, one brand co-group finishes the exact order and
-    concatenates — the ordered-list build never sees more than
-    blocks x top rows per brand."""
-    from ..ops.agg import grouped_sums
-
-    ds = rd.read_parquet(_t(sf_dir, "part"),
-                         columns=["p_brand", "p_partkey", "p_retailprice"])
-
-    def local_prune(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df["cents"] = np.rint(
-            df["p_retailprice"].to_numpy(np.float64) * 100.0).astype(np.int64)
-        r = (df.sort_values(["cents", "p_partkey"])
-             .groupby("p_brand").cumcount())
-        return pa.Table.from_pandas(
-            df.loc[r.sort_index() < top,
-                   ["p_brand", "p_partkey", "cents"]],
-            preserve_index=False)
-
-    def concat(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["p_brand", "cents", "p_partkey"],
-                          kind="mergesort")
-        g = g.groupby("p_brand", as_index=False).head(top)
-        out = (g.assign(s=g["p_partkey"].astype(str))
-               .groupby("p_brand", as_index=False)
-               .agg(top_parts=("s", ",".join)))
-        return out
-
-    pruned = ds.map_batches(local_prune, batch_format="pyarrow")
-    agg = _keyed_segments(pruned, "p_brand").map_groups(
-        concat, batch_format="pandas").to_pandas()
-    n = grouped_sums(ds.map_batches(
-        lambda t: t.select(["p_brand"]), batch_format="pyarrow"),
-        keys=["p_brand"], sum_cols={}, count_alias="n_parts")
-    if agg.empty:
-        return pd.DataFrame({"p_brand": pd.Series(dtype="object"),
-                             "top_parts": pd.Series(dtype="object"),
-                             "n_parts": pd.Series(dtype="int64")})
-    out = agg.merge(n, on="p_brand")
-    out["n_parts"] = out["n_parts"].astype("int64")
-    return (out.sort_values("p_brand").reset_index(drop=True)
-            [["p_brand", "top_parts", "n_parts"]])
-
-
-def part_fuzzy_name_pairs(sf_dir: str, d: int = 2) -> pd.DataFrame:
-    """Fuzzy record linkage, DuckDB-value-oracled: every within-brand pair
-    of parts whose names are within Levenshtein distance ``d`` (SQL twin:
-    brand self-join + ``levenshtein() <= d``, byte-level semantics in both
-    engines). The engine plan is length-band blocking (banded self-join,
-    fixed 2x ghost replication) -> adaptive endpoint-text joins ->
-    pair-vectorized DP verify — see ops/editdist.py for the 100-TB shape.
-    """
-    from ..ops.editdist import edit_distance_pairs
-
-    ds = rd.read_parquet(_t(sf_dir, "part"),
-                         columns=["p_partkey", "p_name", "p_brand"])
-    out = edit_distance_pairs(ds, group_col="p_brand", id_col="p_partkey",
-                              text_col="p_name", d=d).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"p_brand": pd.Series(dtype="object"),
-                             "k1": pd.Series(dtype="int64"),
-                             "k2": pd.Series(dtype="int64"),
-                             "dist": pd.Series(dtype="int64")})
-    out = out.astype({"k1": "int64", "k2": "int64", "dist": "int64"})
-    return (out.sort_values(["k1", "k2"]).reset_index(drop=True)
-            [["p_brand", "k1", "k2", "dist"]])
-
-
 def incremental_user_event_state(sf_dir: str,
                                  cutoff: str = "2024-01-15") -> pd.DataFrame:
     """Incremental aggregation via mergeable PERSISTED state, DuckDB-oracled
@@ -1977,434 +827,6 @@ def incremental_user_event_state(sf_dir: str,
                             "sum_value_cents": "int64"})
     return (merged.sort_values("user_id").reset_index(drop=True)
             [["user_id", "n_events", "sum_value_cents"]])
-
-
-def user_value_moving_sum(sf_dir: str, k: int = 50,
-                          frame: int = 3) -> pd.DataFrame:
-    """Frame-bounded window aggregate (SQL: ``sum() OVER (PARTITION BY
-    user ORDER BY ts, event_id ROWS BETWEEN frame-1 PRECEDING AND CURRENT
-    ROW)``), top-k rows by the window value — the sliding-frame window
-    class (the lag/lead, cumulative, and rank window families each have
-    their own oracled query; this is the ROWS-frame one).
-
-    Scale shape: users hash-bucketed into complete-key co-groups (same
-    plan as sessionization/gaps), ONE vectorized pass per bucket —
-    segment-reset prefix sums give every row's frame sum with no Python
-    loop — local top-k per bucket, tiny driver merge. Exact integer
-    cents, so the distributed sum is bit-equal to SQL's."""
-    import numpy as np
-
-    ds = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts", "value"])
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        n = len(g)
-        empty = pd.DataFrame({"event_id": pd.Series(dtype="int64"),
-                              "user_id": pd.Series(dtype="int64"),
-                              "moving_cents": pd.Series(dtype="int64")})
-        if n == 0:
-            return empty
-        uid = g["user_id"].to_numpy(np.int64)
-        eid = g["event_id"].to_numpy(np.int64)
-        cents = np.rint(g["value"].to_numpy(np.float64) * 100).astype(np.int64)
-        idx = np.arange(n, dtype=np.int64)
-        new_seg = np.ones(n, dtype=bool)
-        new_seg[1:] = uid[1:] != uid[:-1]
-        seg_start = np.maximum.accumulate(np.where(new_seg, idx, 0))
-        winlen = np.minimum(np.int64(frame), idx - seg_start + 1)
-        cs = np.concatenate([[0], np.cumsum(cents)])
-        w = cs[idx + 1] - cs[idx + 1 - winlen]
-        out = pd.DataFrame({"event_id": eid, "user_id": uid,
-                            "moving_cents": w})
-        return out.sort_values(["moving_cents", "event_id"],
-                               ascending=[False, True]).head(k)
-
-    parts = _keyed_segments(ds, "user_id").map_groups(
-        per_bucket, batch_format="pandas")
-    out = parts.to_pandas()
-    if out.empty and "moving_cents" not in out.columns:
-        out = pd.DataFrame({"event_id": pd.Series(dtype="int64"),
-                            "user_id": pd.Series(dtype="int64"),
-                            "moving_cents": pd.Series(dtype="int64")})
-    out = out.astype({"event_id": "int64", "user_id": "int64",
-                      "moving_cents": "int64"})
-    return (out.sort_values(["moving_cents", "event_id"],
-                            ascending=[False, True]).head(k)
-            [["event_id", "user_id", "moving_cents"]].reset_index(drop=True))
-
-
-def part_fuzzy_name_groups(sf_dir: str, d: int = 2, k: int = 40) -> pd.DataFrame:
-    """Fuzzy-key canonicalization end-to-end, DuckDB-value-oracled: the
-    edit-distance pair edges (levenshtein <= d within brand, themselves
-    value-oracled by part_fuzzy_name_pairs) are closed into connected
-    components by the same adaptive min-label machinery the dedup/linking
-    families use — and because these edges ARE SQL-derivable, the
-    recursive-CTE transitive closure pins the full component rollup
-    (component_id = min partkey in the component; singletons included).
-    This is the union-find engine's second full value gate, on a second
-    edge family (string-edit edges vs co-mention edges)."""
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.dedup import _propagate_components
-    from ..ops.editdist import edit_distance_pairs
-
-    ds = rd.read_parquet(_t(sf_dir, "part"),
-                         columns=["p_partkey", "p_name", "p_brand"])
-    pairs = edit_distance_pairs(ds, group_col="p_brand", id_col="p_partkey",
-                                text_col="p_name", d=d)
-    edges = pairs.map_batches(lambda t: t.select(["k1", "k2"]),
-                              batch_format="pyarrow")
-    ids = ds.map_batches(
-        lambda t: pa.table({"doc_id": t.column("p_partkey")}),
-        batch_format="pyarrow")
-    comp = _propagate_components(edges, ids, "component_id")
-    counts = grouped_sums_ds(
-        comp.map_batches(lambda t: t.select(["component_id"]),
-                         batch_format="pyarrow"),
-        keys=["component_id"], sum_cols={}, count_alias="n_members")
-    out = topk_ds(counts, by=["n_members", "component_id"],
-                  ascending=[False, True], k=k,
-                  columns=["component_id", "n_members"])
-    out = out.astype({"component_id": "int64", "n_members": "int64"})
-    return out[["component_id", "n_members"]].reset_index(drop=True)
-
-
-def latest_event_per_user(sf_dir: str) -> pd.DataFrame:
-    """CDC-style upsert compaction (last writer wins), DuckDB-oracled
-    against ``row_number() = 1``: keep each user's latest event by
-    (ts, event_id). The keep-best rule is ASSOCIATIVE, so each batch
-    reduces to one candidate row per user first (mergeable argmax — the
-    combiner-before-exchange pattern), and the user-bucketed co-groups
-    apply the identical rule to candidates only; the exchange carries
-    O(users x batches) rows, never the event stream."""
-    ds = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["event_id", "user_id", "ts", "event_type"])
-
-    def best(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        return g.groupby("user_id", as_index=False).last()
-
-    partial = ds.map_batches(best, batch_format="pandas")
-    out = _keyed_segments(partial, "user_id").map_groups(
-        best, batch_format="pandas").to_pandas()
-    if out.empty:
-        return pd.DataFrame({"user_id": pd.Series(dtype="int64"),
-                             "event_id": pd.Series(dtype="int64"),
-                             "ts": pd.Series(dtype="datetime64[us]"),
-                             "event_type": pd.Series(dtype="object")})
-    out = out.astype({"user_id": "int64", "event_id": "int64"})
-    out["ts"] = out["ts"].astype("datetime64[us]")
-    return (out.sort_values("user_id").reset_index(drop=True)
-            [["user_id", "event_id", "ts", "event_type"]])
-
-
-def embedding_dimension_stats(sf_dir: str) -> pd.DataFrame:
-    """Per-dimension columnar stats over the embedding vectors (the
-    feature-scaling / normalization precursor every training pipeline
-    runs), DuckDB-oracled via unnest WITH ORDINALITY: n / sum / min / max
-    of each dimension, exactly — values quantized to int64 at x2^20 with
-    DuckDB's round-half-away rule in BOTH engines, so the distributed sum
-    is order-independent and bit-equal. One matrix reduce per batch emits
-    d partial rows; the exchange is O(d x batches)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    ds = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        col = t.column("embedding").combine_chunks()
-        flat = col.values.to_numpy(zero_copy_only=False).astype(np.float64)
-        offs = col.offsets.to_numpy(zero_copy_only=False)
-        widths = np.diff(offs)
-        if len(widths) == 0:
-            return pa.table({"dim": pa.array([], pa.int64()),
-                             "n_part": pa.array([], pa.int64()),
-                             "sum_part": pa.array([], pa.int64()),
-                             "min_part": pa.array([], pa.int64()),
-                             "max_part": pa.array([], pa.int64())})
-        d = int(widths[0])
-        assert (widths == d).all(), "ragged embedding widths"
-        x = flat * 1048576.0
-        q = (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
-        m = q.reshape(-1, d)
-        return pa.table({
-            "dim": pa.array(np.arange(d, dtype=np.int64)),
-            "n_part": pa.array(np.full(d, m.shape[0], np.int64)),
-            "sum_part": pa.array(m.sum(axis=0, dtype=np.int64)),
-            "min_part": pa.array(m.min(axis=0)),
-            "max_part": pa.array(m.max(axis=0))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    out = parts.groupby("dim").aggregate(
-        Sum("n_part", alias_name="n"),
-        Sum("sum_part", alias_name="sum_q"),
-        Min("min_part", alias_name="min_q"),
-        Max("max_part", alias_name="max_q")).to_pandas()
-    if out.empty:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in
-                             ["dim", "n", "sum_q", "min_q", "max_q"]})
-    out = out.astype({c: "int64" for c in
-                      ["dim", "n", "sum_q", "min_q", "max_q"]})
-    return (out.sort_values("dim").reset_index(drop=True)
-            [["dim", "n", "sum_q", "min_q", "max_q"]])
-
-
-def viewers_clickers_purchasers(sf_dir: str, k: int = 50,
-                                since: str = "2024-01-30") -> pd.DataFrame:
-    """Multi-way INTERSECT at the user grain (the set-op family's missing
-    gate next to EXCEPT/viewers_never_purchased): users who viewed AND
-    clicked AND purchased on/after ``since``, smallest k ids. Each side
-    reduces to per-batch-distinct keys; membership is checked by CHAINED
-    bucketed semi joins (no driver-side key set), then one exact distinct
-    before top-k."""
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.joins import bucket_semi_join
-
-    cutoff = pa.scalar(np.datetime64(since, "us"))
-    ev = rd.read_parquet(_t(sf_dir, "events"),
-                         columns=["user_id", "event_type", "ts"])
-
-    def side(etype):
-        return ev.map_batches(
-            lambda t, e=etype: t.filter(
-                pc.and_(pc.equal(t.column("event_type"), e),
-                        pc.greater_equal(t.column("ts"), cutoff)))
-            .select(["user_id"]).group_by(["user_id"]).aggregate([]),
-            batch_format="pyarrow")
-
-    both = bucket_semi_join(side("view"), side("click"), on="user_id")
-    all3 = bucket_semi_join(both, side("purchase"), on="user_id")
-    all3 = grouped_sums_ds(all3, keys=["user_id"], sum_cols={})
-    return topk_ds(all3, by=["user_id"], ascending=[True], k=k)
-
-
-def session_overlap_pairs(sf_dir: str, k: int = 50, gap_minutes: int = 30,
-                          bucket_hours: int = 1) -> pd.DataFrame:
-    """Interval-OVERLAP self-join (the non-equi join family's last missing
-    member next to band/interval-containment/asof): cross-USER pairs of
-    gap-sessions whose [start, end] spans intersect, top-k by overlap
-    length. DuckDB twin re-derives the sessions (lag + cumulative-sum
-    windows) and self-joins on the overlap predicate.
-
-    Scale shape: sessions are built per user-bucket in one vectorized
-    pass (the event_sessions kernel), then each session is replicated
-    into the TIME buckets its span covers (replication = span/bucket —
-    bounded by the session-gap contract), and a pair forms exactly once:
-    in the bucket containing the LATER session's start (both spans cover
-    it). Within a bucket one searchsorted + ragged expansion emits the
-    candidates; everything stays O(bucket) — no all-pairs across time."""
-    import numpy as np
-
-    from ..ops.joins import _expand_pairs
-
-    gap_us = gap_minutes * 60 * 1_000_000
-    w_us = bucket_hours * 3600 * 1_000_000
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        uid = g["user_id"].to_numpy(np.int64)
-        t = g["ts"].to_numpy().astype("int64")
-        if len(t) == 0:
-            return pd.DataFrame({"user_id": uid[:0], "ss": t[:0],
-                                 "se": t[:0]})
-        boundary = np.r_[True, (uid[1:] != uid[:-1]) | (np.diff(t) > gap_us)]
-        starts = np.flatnonzero(boundary)
-        ends = np.r_[starts[1:], len(t)] - 1
-        return pd.DataFrame({"user_id": uid[starts], "ss": t[starts],
-                             "se": t[ends]})
-
-    sess = _keyed_segments(ds, "user_id").map_groups(
-        sessions, batch_format="pandas")
-
-    def replicate(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"user_id": pd.Series(dtype="int64"),
-                                 "ss": pd.Series(dtype="int64"),
-                                 "se": pd.Series(dtype="int64"),
-                                 "tb": pd.Series(dtype="int64")})
-        ss = df["ss"].to_numpy(np.int64)
-        se = df["se"].to_numpy(np.int64)
-        b0, b1 = ss // w_us, se // w_us
-        reps = (b1 - b0 + 1).astype(np.int64)
-        i = np.repeat(np.arange(len(df), dtype=np.int64), reps)
-        off = (np.arange(int(reps.sum()), dtype=np.int64)
-               - np.repeat(np.cumsum(reps) - reps, reps))
-        return pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(np.int64)[i],
-            "ss": ss[i], "se": se[i], "tb": b0[i] + off})
-
-    def pairs(co: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "u1": pd.Series(dtype="int64"), "s1_start": pd.Series(dtype="int64"),
-            "u2": pd.Series(dtype="int64"), "s2_start": pd.Series(dtype="int64"),
-            "overlap_us": pd.Series(dtype="int64")})
-        out = [empty]
-        for tb, g in co.groupby("tb", sort=False):
-            g = g.sort_values(["ss", "user_id"], kind="mergesort")
-            ss = g["ss"].to_numpy(np.int64)
-            se = g["se"].to_numpy(np.int64)
-            uid = g["user_id"].to_numpy(np.int64)
-            n = len(g)
-            if n < 2:
-                continue
-            lo = np.arange(1, n + 1, dtype=np.int64)
-            hi = np.searchsorted(ss, se, side="right").astype(np.int64)
-            i, j = _expand_pairs(lo, hi)
-            if len(i) == 0:
-                continue
-            # pair forms once, in the bucket holding the later start
-            keep = (ss[j] // w_us == tb) & (uid[i] != uid[j])
-            i, j = i[keep], j[keep]
-            ov = np.minimum(se[i], se[j]) - ss[j]
-            swap = uid[i] > uid[j]
-            u1 = np.where(swap, uid[j], uid[i])
-            u2 = np.where(swap, uid[i], uid[j])
-            s1 = np.where(swap, ss[j], ss[i])
-            s2 = np.where(swap, ss[i], ss[j])
-            d = pd.DataFrame({"u1": u1, "s1_start": s1, "u2": u2,
-                              "s2_start": s2, "overlap_us": ov})
-            out.append(d.sort_values(
-                ["overlap_us", "u1", "s1_start", "u2", "s2_start"],
-                ascending=[False, True, True, True, True]).head(k))
-        return pd.concat(out, ignore_index=True)
-
-    rep = sess.map_batches(replicate, batch_format="pandas")
-    res = _keyed_segments(rep, "tb").map_groups(
-        pairs, batch_format="pandas").to_pandas()
-    if res.empty:
-        res = pd.DataFrame({
-            "u1": pd.Series(dtype="int64"), "s1_start": pd.Series(dtype="int64"),
-            "u2": pd.Series(dtype="int64"), "s2_start": pd.Series(dtype="int64"),
-            "overlap_us": pd.Series(dtype="int64")})
-    res = res.sort_values(["overlap_us", "u1", "s1_start", "u2", "s2_start"],
-                          ascending=[False, True, True, True, True]).head(k)
-    res = res.astype({c: "int64" for c in res.columns})
-    res["s1_start"] = res["s1_start"].astype("datetime64[us]")
-    res["s2_start"] = res["s2_start"].astype("datetime64[us]")
-    return res[["u1", "s1_start", "u2", "s2_start", "overlap_us"]] \
-        .reset_index(drop=True)
-
-
-def rolling_7d_distinct_users(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
-    """Sliding-window DISTINCT aggregate (rolling 7-day active users per
-    day) — distinct machinery from rolling COUNTS: distinct is not
-    subtractable, so the engine reduces to per-batch-distinct (user, day)
-    rows, replicates each into the ``window_days`` window-END days it
-    contributes to (bounded fan-out = window length), and finishes with
-    one exact distinct + count per end day. SQL twin: per-day distinct
-    join over the day range (count(DISTINCT) OVER is unsupported in
-    DuckDB — the join form is the standard exact twin). Output covers
-    only days present in the data (both engines)."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])
-
-    def user_days(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(t.column("ts"), unit="day"),
-                      pa.date32())
-        one = pa.table({"user_id": t.column("user_id"), "day": day})
-        return one.group_by(["user_id", "day"]).aggregate([])
-
-    ud = ds.map_batches(user_days, batch_format="pyarrow",
-                        zero_copy_batch=True).materialize()
-
-    # the distinct END days present in the data (small: one row per day)
-    days = ensure_columns(ud.map_batches(
-        lambda t: t.select(["day"]).group_by(["day"]).aggregate([]),
-        batch_format="pyarrow").groupby("day").count().to_pandas(),
-        ["day"])
-    valid_days = np.sort(days["day"].to_numpy().astype("datetime64[D]")
-                         .astype(np.int32))
-
-    def replicate(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "end_day": pa.array([], pa.int32())})
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        d = t.column("day").to_numpy(zero_copy_only=False) \
-             .astype("datetime64[D]").astype(np.int32)
-        k = window_days
-        uid_r = np.repeat(uid, k)
-        end = (np.repeat(d, k)
-               + np.tile(np.arange(k, dtype=np.int32), len(d)))
-        # keep only window ends that are real data days
-        ix = np.searchsorted(valid_days, end)
-        ix = np.minimum(ix, len(valid_days) - 1)
-        keep = valid_days[ix] == end
-        return pa.table({"user_id": pa.array(uid_r[keep], pa.int64()),
-                         "end_day": pa.array(end[keep], pa.int32())})
-
-    contrib = ud.map_batches(replicate, batch_format="pyarrow")
-    # exact distinct (a user-day replica can arrive from several batches
-    # only once — ud is globally distinct? no: per-BATCH distinct only, so
-    # duplicates across batches exist; the groupby below dedups exactly)
-    dedup = contrib.groupby(["user_id", "end_day"]).count()
-    counts = dedup.map_batches(
-        lambda t: t.select(["end_day"]).group_by(["end_day"]).aggregate(
-            [([], "count_all")]).rename_columns(["end_day", "n_part"]),
-        batch_format="pyarrow")
-    from ..ops.agg import grouped_sums
-
-    out = grouped_sums(counts, keys=["end_day"],
-                       sum_cols={"n_distinct_users": "n_part"})
-    out["day"] = pd.to_datetime(
-        out["end_day"].to_numpy().astype("datetime64[D]"))
-    out["n_distinct_users"] = out["n_distinct_users"].astype("int64")
-    return (out.sort_values("day").reset_index(drop=True)
-            [["day", "n_distinct_users"]])
-
-
-def kmv_customer_overlap_invariants(sf_dir: str, k: int = 1024) -> pd.DataFrame:
-    """Theta/KMV sketch gate (the SET-OPERATION sketch family: union =
-    merge-truncate, intersection estimated on the shared theta region),
-    DuckDB-oracled like the HLL/CountMin gates: the engine computes the
-    EXACT distinct 1995-buyer and 1996-buyer customer sets and their exact
-    intersection (all three SQL-matched) plus KMV estimates of the same
-    three quantities, emitting within-bound flags pinned true (k=1024 ->
-    ~3.1% standard error; 15%/25% bounds are ~5 sigma; the seeded hash
-    makes every estimate deterministic). Sketch exchange: <= k values per
-    batch; exact side: per-batch-distinct partials + one groupby and a
-    bucketed semi join."""
-    from ..ops.joins import bucket_semi_join
-    from ..ops.sketches import KMV, _hash_ints, kmv_from_hashes
-
-    ds = rd.read_parquet(_t(sf_dir, "orders"),
-                         columns=["o_custkey", "o_orderdate"])
-
-    def year_keys(year: int):
-        lo = pa.scalar(np.datetime64(f"{year}-01-01T00:00:00", "us"))
-        hi = pa.scalar(np.datetime64(f"{year + 1}-01-01T00:00:00", "us"))
-
-        def f(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.and_(pc.greater_equal(t.column("o_orderdate"), lo),
-                                 pc.less(t.column("o_orderdate"), hi)))
-            d = t.select(["o_custkey"]).group_by(["o_custkey"]).aggregate([])
-            h = _hash_ints(d.column("o_custkey")
-                           .to_numpy(zero_copy_only=False))
-            return d.append_column("h", pa.array(h.astype(np.int64)))
-
-        return ds.map_batches(f, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-
-    a, b = year_keys(1995), year_keys(1996)
-    n_a = a.groupby("o_custkey").count().count()
-    n_b = b.groupby("o_custkey").count().count()
-    both = bucket_semi_join(a.map_batches(
-        lambda t: t.select(["o_custkey"]), batch_format="pyarrow"),
-        b, on="o_custkey")
-    n_both = both.groupby("o_custkey").count().count()
-
-    sa, sb = kmv_from_hashes(a, "h", k), kmv_from_hashes(b, "h", k)
-    ea, eb = sa.estimate(), sb.estimate()
-    ei = KMV.intersection_estimate(sa, sb)
-    return pd.DataFrame({
-        "n_1995": pd.array([n_a], dtype="int64"),
-        "n_1996": pd.array([n_b], dtype="int64"),
-        "n_both": pd.array([n_both], dtype="int64"),
-        "kmv_sets_within_15pct": pd.array(
-            [abs(ea - n_a) <= 0.15 * n_a and abs(eb - n_b) <= 0.15 * n_b],
-            dtype="bool"),
-        "kmv_inter_within_25pct": pd.array(
-            [abs(ei - n_both) <= 0.25 * max(n_both, 1)], dtype="bool")})
 
 
 # Fixed event-type vocabulary of the test generator (shared with the pivot

@@ -1,6 +1,7 @@
 """Training-data corpus pipelines over documents/embeddings test tables:
-dedup, text analysis, similarity search. Query-shaped (sf_dir -> result)
-for the driver contract; column names match __ray_entry__.oracle_sql.
+dedup, text analysis, similarity search. Query-shaped (sf_dir -> result);
+no ``__ray_entry__`` query calls them any more, and the ones left are
+those the unit tests pin.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import ray.data as rd
 
 from ..ops import dedup as dd
 from ..ops import similarity as sim
-from ..ops import text as tx
 
 
 def _docs(sf_dir: str, columns=None):
@@ -48,85 +48,6 @@ def dedup_minhash_documents(sf_dir: str) -> pd.DataFrame:
                    {"doc_id": "int64", "cluster_id": "int64"})
 
 
-def _split_exact_groups(docs, clusters, label_col: str) -> tuple[int, int, int]:
-    """Shared kernel of the dedup *clustering* invariant queries: how many
-    exact-duplicate text groups did the clustering split across labels?
-    Returns (n_docs, n_distinct_texts, n_split_exact_groups).
-
-    Scale shape: the exact-group key is the vectorized poly128 content hash
-    (same doc partition as SQL's md5 barring a ~2^-128 collision); the
-    split check is per-batch distinct (hash, label) pairs -> hash-bucket
-    partition (a group never spans partitions) -> per-partition group sizes
-    -> one int per partition to the driver.
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import content_hash128_arrow
-    from ..ops.joins import _mix_bucket, bucket_join
-
-    n_docs = docs.count()
-    n_distinct = dd.exact_dedup(docs).count()
-
-    keyed = docs.map_batches(
-        lambda t: pa.table({"doc_id": t.column("doc_id"),
-                            "__h": content_hash128_arrow(t.column("text"))}),
-        batch_format="pyarrow")
-    both = bucket_join(keyed, clusters, on="doc_id")
-
-    def local(t: pa.Table) -> pa.Table:
-        pairs = (t.select(["__h", label_col])
-                 .group_by(["__h", label_col]).aggregate([]))
-        return pairs.append_column("__part",
-                                   _mix_bucket(pairs.column("__h"), 64))
-
-    pre = both.map_batches(local, batch_format="pyarrow")
-
-    def finish(g: pa.Table) -> pa.Table:
-        d = (g.drop_columns(["__part"])
-             .group_by(["__h", label_col]).aggregate([]))
-        per_h = d.group_by(["__h"]).aggregate([([], "count_all")])
-        n_multi = int(pc.sum(pc.greater(per_h.column("count_all"), 1),
-                             min_count=0).as_py() or 0)
-        return pa.table({"n_multi": pa.array([n_multi], pa.int64())})
-
-    parts = pre.groupby("__part").map_groups(finish, batch_format="pyarrow").to_pandas()
-    n_split = int(parts["n_multi"].sum()) if "n_multi" in parts.columns else 0
-    return n_docs, n_distinct, n_split
-
-
-def _split_invariant_frame(n_docs: int, n_distinct: int, n_split: int) -> pd.DataFrame:
-    return pd.DataFrame({"n_docs": pd.array([n_docs], dtype="int64"),
-                         "n_distinct_texts": pd.array([n_distinct], dtype="int64"),
-                         "n_split_exact_groups": pd.array([n_split], dtype="int64")})
-
-
-def dedup_minhash_invariants(sf_dir: str) -> pd.DataFrame:
-    """DuckDB-checkable invariants of the MinHash-LSH clustering (VERDICT r4
-    #7 — the clustering itself is seed-defined, but its exact-duplicate
-    behavior is not): identical texts have identical shingle sets, hence
-    identical signatures and band keys, hence a Jaccard-1.0 verified edge —
-    so NO exact-duplicate group may ever be split across clusters. Returns
-    one row (n_docs, n_distinct_texts, n_split_exact_groups); the oracle
-    pins the first two by SQL and the third to literal 0.
-    """
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    clusters = dd.minhash_lsh_dedup(docs)  # (doc_id, cluster_id)
-    return _split_invariant_frame(
-        *_split_exact_groups(docs, clusters, "cluster_id"))
-
-
-def dedup_simhash_invariants(sf_dir: str) -> pd.DataFrame:
-    """SimHash-grouping twin of ``dedup_minhash_invariants``: identical
-    texts have identical 64-bit simhashes, hence identical band chunks and
-    hamming distance 0 to their bucket root, so the grouping may never
-    split an exact-duplicate group (oracle pins n_split to 0; n_docs /
-    n_distinct_texts SQL-counted)."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    groups = dd.simhash_groups(docs)  # (doc_id, group_id)
-    return _split_invariant_frame(
-        *_split_exact_groups(docs, groups, "group_id"))
-
-
 def dedup_simhash_documents(sf_dir: str) -> pd.DataFrame:
     out = dd.simhash_groups(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
     return _finish(out, "doc_id",
@@ -142,135 +63,6 @@ def ngram_jaccard_exact(sf_dir: str) -> pd.DataFrame:
     over string shingle sets (the engine compares 64-bit shingle hashes, a
     collision-free proxy at these corpus sizes)."""
     return dd.ngram_jaccard_exact(_docs(sf_dir, ["doc_id", "text"]))
-
-
-def ngram_jaccard_lsh_invariants(sf_dir: str) -> pd.DataFrame:
-    """DuckDB-checkable invariants of the LSH n-gram pair candidates: every
-    emitted pair carries an EXACT Jaccard (the LSH only proposes candidates;
-    the filter is exact), so the LSH pair set must be a subset of the exact
-    all-pairs result (``ngram_jaccard_exact``, itself value-oracled) with
-    identical jac values. Returns one row (n_docs, n_not_in_exact,
-    n_jac_mismatch); the oracle SQL-counts n_docs and pins both violation
-    counts to 0. Recall (|lsh| / |exact|) is approximate by design and
-    stays un-pinned. Both pair sets are O(matching pairs), so the driver
-    merge is bounded by the result size, not the corpus."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    n_docs = docs.count()
-    lsh = dd.ngram_jaccard_pairs(docs)
-    exact = dd.ngram_jaccard_exact(docs)
-    merged = lsh.merge(exact, on=["id_a", "id_b"], how="left",
-                       suffixes=("", "_exact"))
-    n_not_in_exact = int(merged["jac_exact"].isna().sum())
-    hit = merged.dropna(subset=["jac_exact"])
-    n_mismatch = int((hit["jac"] != hit["jac_exact"]).sum())
-    return pd.DataFrame({
-        "n_docs": pd.array([n_docs], dtype="int64"),
-        "n_not_in_exact": pd.array([n_not_in_exact], dtype="int64"),
-        "n_jac_mismatch": pd.array([n_mismatch], dtype="int64")})
-
-
-def doc_token_stats(sf_dir: str) -> pd.DataFrame:
-    out = tx.token_stats(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def text_stats_by_lang(sf_dir: str) -> pd.DataFrame:
-    return tx.text_stats_by_lang(_docs(sf_dir, ["doc_id", "text", "lang"]))
-
-
-def doc_quality(sf_dir: str) -> pd.DataFrame:
-    out = tx.quality_scores(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_lang_id(sf_dir: str) -> pd.DataFrame:
-    out = tx.lang_id(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_bpe_tokens(sf_dir: str) -> pd.DataFrame:
-    """Sub-word (BPE-ish pre-tokenizer) token counts; oracle: DuckDB
-    regexp_extract_all with the same RE2 pattern."""
-    out = tx.bpe_token_stats(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_length_quantiles(sf_dir: str) -> pd.DataFrame:
-    """Exact quantile_cont over document char lengths via a distributed
-    counting histogram; oracle: DuckDB quantile_cont."""
-    q = tx.length_quantiles(_docs(sf_dir, ["text"]), qs=(0.5, 0.9, 0.99))
-    return pd.DataFrame({"p50": [round(q[0.5], 4)], "p90": [round(q[0.9], 4)],
-                         "p99": [round(q[0.99], 4)]})
-
-
-def doc_fingerprints(sf_dir: str) -> pd.DataFrame:
-    out = tx.doc_fingerprints(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def top_tokens(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Token frequency: explode whitespace tokens (flat-map shape inside
-    map_batches) -> partial counts per batch -> global sum -> top-k."""
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums
-
-    ds = _docs(sf_dir, ["text"])
-
-    def explode(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.utf8_split_whitespace(t.column("text")))
-        one = pa.table({"tok": toks})
-        agg = one.group_by(["tok"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["tok", "n_part"])
-
-    parts = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(parts, keys=["tok"], sum_cols={"n": "n_part"})
-    out["n"] = out["n"].astype("int64")
-    out = out[out.tok != ""]
-    return (out.sort_values(["n", "tok"], ascending=[False, True])
-            .head(k)[["tok", "n"]].reset_index(drop=True))
-
-
-def tfidf_top_terms(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Corpus-level TF-IDF: top-k terms by ``sum_tf * ln(N / df)``.
-
-    Classically two passes (term frequencies, then document frequencies);
-    here ONE explode computes both partials per batch — documents never
-    span batches, so the batch-local (doc, token) rollup yields exact tf
-    rows, and a second in-batch rollup over them yields per-token
-    (sum_tf, df) partials. One global groupby(token) finishes both sums;
-    the driver sees only the per-token aggregate. Oracle: DuckDB unnest +
-    ln (same whitespace split as doc_token_stats)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums, round_away
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    n_docs = ds.count()  # metadata count, no execution
-
-    def explode(t: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(
-            pc.utf8_trim_whitespace(t.column("text"))).combine_chunks()
-        offs = toks.offsets.to_numpy(zero_copy_only=False)
-        doc_ix = np.repeat(np.arange(len(offs) - 1, dtype=np.int64),
-                           np.diff(offs))
-        pairs = pa.table({"d": pa.array(doc_ix, pa.int64()),
-                          "tok": pc.list_flatten(toks)})
-        pairs = pairs.filter(pc.not_equal(pairs.column("tok"), ""))
-        tf = pairs.group_by(["d", "tok"]).aggregate([([], "count_all")])
-        tf = tf.rename_columns(["d", "tok", "tf"])
-        agg = tf.group_by(["tok"]).aggregate([("tf", "sum"), ([], "count_all")])
-        return agg.rename_columns(["tok", "sum_tf_part", "df_part"])
-
-    parts = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(parts, keys=["tok"],
-                       sum_cols={"sum_tf": "sum_tf_part", "df": "df_part"})
-    out = out.astype({"sum_tf": "int64", "df": "int64"})
-    out["tfidf"] = round_away(
-        out.sum_tf.to_numpy() * np.log(n_docs / out.df.to_numpy()), 4)
-    out = out.sort_values(["tfidf", "tok"], ascending=[False, True]).head(k)
-    return out[["tok", "tfidf", "sum_tf", "df"]].reset_index(drop=True)
 
 
 def top_bigrams(sf_dir: str, k: int = 15) -> pd.DataFrame:
@@ -342,55 +134,6 @@ def similarity_topk(sf_dir: str) -> pd.DataFrame:
     return sim.brute_force_topk(_emb(sf_dir), q, k=10, exclude_ids=(0,))
 
 
-def similarity_topk_ivf(sf_dir: str) -> pd.DataFrame:
-    """One-shot IVF top-k with nprobe = n_centroids (full probe) — exact,
-    so the brute-force DuckDB oracle applies (without the id-0 exclusion);
-    the centroid-assign/probe/merge machinery is what's under gate. Partial
-    probes (the sublinear scale path) are exercised rows-only via tests."""
-    q = _query_vector(sf_dir)
-    if q is None:
-        return _empty_topk()
-    return sim.ivf_topk(_emb(sf_dir), q, k=10, n_centroids=8, nprobe=8)
-
-
-def similarity_ivf_index(sf_dir: str) -> pd.DataFrame:
-    """Persisted-IVF path: build the centroid-partitioned parquet layout
-    once (under /tmp, keyed by sf_dir so repeated calls reuse it), then
-    query with a full probe (nprobe = n_centroids) — exact top-k, so the
-    same DuckDB oracle as ``similarity_topk`` applies. The machinery under
-    oracle here is the build->partition->pruned-read path itself."""
-    import glob
-    import hashlib
-    import os
-
-    q = _query_vector(sf_dir)
-    if q is None:
-        return _empty_topk()
-    # cache key includes a fingerprint of the embeddings files (path + size
-    # + mtime), not just the directory path — regenerated embeddings under
-    # the same path must invalidate the index (same stale-cache class as the
-    # transcripts _GEN_VERSION bump)
-    src = os.path.join(sf_dir, "embeddings.parquet")
-    parts = sorted(glob.glob(os.path.join(src, "**", "*.parquet"),
-                             recursive=True)) or [src]
-    fp = hashlib.md5()
-    fp.update(sf_dir.encode())
-    for p in parts:
-        try:
-            st = os.stat(p)
-            fp.update(f"{p}:{st.st_size}:{st.st_mtime_ns}".encode())
-        except OSError:
-            pass
-    key = fp.hexdigest()[:10]
-    index_dir = f"/tmp/ivf_index_{key}"
-    if not os.path.exists(os.path.join(index_dir, "centroids.parquet")):
-        sim.build_ivf_index(_emb(sf_dir), index_dir, n_centroids=8)
-    # k=11 then drop the query vector itself (id 0): exact top-10 excluding it
-    out = sim.ivf_index_topk(index_dir, q, k=11, nprobe=8)
-    out = out[out["vec_id"] != 0].head(10)
-    return out.reset_index(drop=True)
-
-
 def embedding_neardup(sf_dir: str, tau: float = 0.45) -> pd.DataFrame:
     return sim.embedding_neardup_pairs(_emb(sf_dir), tau=tau)
 
@@ -403,99 +146,6 @@ def embedding_neardup_lsh(sf_dir: str, tau: float = 0.45) -> pd.DataFrame:
     ~0.99 recall. At the op's native tau~0.95 regime, longer bands (4x4)
     keep buckets sublinear."""
     return sim.embedding_neardup_lsh(_emb(sf_dir), tau=tau, n_bits=16, bands=8)
-
-
-def embedding_neardup_lsh_invariants(sf_dir: str, tau: float = 0.45) -> pd.DataFrame:
-    """Subset invariant for the hyperplane-LSH near-dup path: candidates are
-    verified with EXACT cosine inside each bucket, so every emitted pair
-    must appear in the exact all-pairs result (``embedding_neardup``,
-    value-oracled) with the identical cos. One row (n_vecs, n_not_in_exact,
-    n_cos_mismatch); SQL counts n_vecs and pins the violations to 0.
-    Recall stays un-pinned (approximate by design)."""
-    lsh = sim.embedding_neardup_lsh(_emb(sf_dir), tau=tau, n_bits=16, bands=8)
-    exact = sim.embedding_neardup_pairs(_emb(sf_dir), tau=tau)
-    n_vecs = _emb(sf_dir).count()
-    merged = lsh.merge(exact, on=["id_a", "id_b"], how="left",
-                       suffixes=("", "_exact"))
-    n_not_in_exact = int(merged["cos_exact"].isna().sum())
-    hit = merged.dropna(subset=["cos_exact"])
-    n_mismatch = int((hit["cos"] != hit["cos_exact"]).sum())
-    return pd.DataFrame({
-        "n_vecs": pd.array([n_vecs], dtype="int64"),
-        "n_not_in_exact": pd.array([n_not_in_exact], dtype="int64"),
-        "n_cos_mismatch": pd.array([n_mismatch], dtype="int64")})
-
-
-def doc_repetition(sf_dir: str) -> pd.DataFrame:
-    """Gopher-style repetition signals (dup word/line fractions, top-bigram
-    fraction) — DuckDB-oracled."""
-    out = tx.repetition_stats(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_sample(sf_dir: str, pct: float = 10) -> pd.DataFrame:
-    """Deterministic 10% Bernoulli sample of documents (md5 keep rule,
-    DuckDB-oracled row-for-row)."""
-    from ..ops.sample import bernoulli_sample
-
-    out = bernoulli_sample(_docs(sf_dir, ["doc_id", "lang"]),
-                           "doc_id", pct, method="md5").to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_stratified_sample(sf_dir: str) -> pd.DataFrame:
-    """Stratified sampling (training-mix rebalancing): keep 20% of English
-    docs, 5% of the rest; report sampled count per language — oracled."""
-    from ..ops.agg import grouped_sums
-    from ..ops.sample import stratified_sample
-
-    sampled = stratified_sample(_docs(sf_dir, ["doc_id", "lang"]),
-                                "doc_id", "lang", {"en": 20}, default_pct=5,
-                                method="md5")
-    out = grouped_sums(sampled, keys=["lang"], sum_cols={},
-                       count_alias="n_sampled")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-def doc_chunks(sf_dir: str) -> pd.DataFrame:
-    """Overlapping 120/90 context-window chunks per document — oracled
-    (DuckDB substring + generate_series reproduce the chunk grid)."""
-    out = tx.chunk_documents(_docs(sf_dir, ["doc_id", "text"]),
-                             size=120, stride=90).to_pandas()
-    return _finish(out, ["doc_id", "chunk_idx"])
-
-
-def doc_packing(sf_dir: str, max_tokens: int = 256) -> pd.DataFrame:
-    """Greedy sequence packing summary: per-pack doc count and token fill.
-    DuckDB-oracled — the greedy fill is deterministic per hash bucket in
-    doc_id order, so a recursive CTE reproduces the pack assignment exactly
-    (invariants additionally pinned in tests)."""
-    from ..ops.agg import grouped_sums
-
-    packed = tx.pack_sequences(_docs(sf_dir, ["doc_id", "text"]),
-                               max_tokens=max_tokens)
-    out = grouped_sums(packed, keys=["pack_id"],
-                       sum_cols={"pack_tokens": "n_tokens"},
-                       count_alias="n_docs")
-    out = out.astype({"pack_id": "int64", "pack_tokens": "int64",
-                      "n_docs": "int64"})
-    return out.sort_values("pack_id").reset_index(drop=True)
-
-
-def kmeans_embeddings(sf_dir: str, n_clusters: int = 8,
-                      n_iter: int = 5) -> pd.DataFrame:
-    """Distributed spherical k-means over the embeddings table (Lloyd's,
-    5 iterations): per-cluster sizes + final inertia share. Rows-only by
-    nature (centroid floats depend on reduce order at the 1e-15 level);
-    convergence/determinism invariants are pinned in tests."""
-    import numpy as np
-
-    _, history = sim.kmeans_fit(_emb(sf_dir), n_clusters=n_clusters,
-                                n_iter=n_iter)
-    last = history[-1]
-    sizes = np.asarray(last["sizes"], dtype=np.int64)
-    return pd.DataFrame({"cluster": np.arange(len(sizes), dtype=np.int64),
-                         "size": sizes})
 
 
 def kmeans_invariants(sf_dir: str, n_clusters: int = 8,
@@ -557,111 +207,6 @@ def _word_grams(t: pa.Table, k_gram: int, with_doc: bool,
         return agg.rename_columns(keys + ["cnt"])
     agg = out.group_by(keys).aggregate([])
     return agg.select(keys)
-
-
-def ngram_contamination(sf_dir: str, holdout_source: str = "src0",
-                        k_gram: int = 4, k: int = 100) -> pd.DataFrame:
-    """Train/test decontamination scoring (the GPT-3/PaLM n-gram method):
-    for each training document, how many DISTINCT word k-grams it shares
-    with the held-out source's documents.
-
-    Scale shape: both sides explode to distinct k-grams with a per-batch
-    combiner (documents never span batches, so batch-distinct is exact);
-    membership is a bucketed semi join on the gram STRING (exact equality
-    per bucket — the hash only routes, ops/joins.bucket_semi_join), then a
-    partial-agg count per doc and a distributed top-k. The holdout gram set
-    is never collected to the driver and never broadcast whole.
-
-    Oracle: DuckDB lateral unnest over token-array slices with the same
-    trim/whitespace tokenization.
-    """
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.joins import bucket_semi_join
-
-    ds = _docs(sf_dir, ["doc_id", "text", "source"])
-    test = ds.filter(expr=f"source == '{holdout_source}'").map_batches(
-        lambda t: _word_grams(t, k_gram, with_doc=False), batch_format="pyarrow")
-    train = ds.filter(expr=f"source != '{holdout_source}'").map_batches(
-        lambda t: _word_grams(t, k_gram, with_doc=True), batch_format="pyarrow")
-    shared = bucket_semi_join(train, test, on="gram")
-    counts = grouped_sums_ds(shared, keys=["doc_id"], sum_cols={},
-                             count_alias="n_shared_grams")
-    out = topk_ds(counts, by=["n_shared_grams", "doc_id"],
-                  ascending=[False, True], k=k,
-                  columns=["doc_id", "n_shared_grams"])
-    out["n_shared_grams"] = out["n_shared_grams"].astype("int64")
-    return out[["doc_id", "n_shared_grams"]]
-
-
-def dedup_incremental_documents(sf_dir: str) -> pd.DataFrame:
-    """Delta dedup showcase: treat doc_id % 10 < 7 as the already-deduped
-    prior corpus and dedup the remaining 30% shard against it (and itself)
-    by exact content (ops.dedup.incremental_exact_dedup). Oracle: NOT IN
-    against prior texts + min-id-per-text over the shard."""
-    from ..ops.dedup import incremental_exact_dedup
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-
-    def split(is_new):
-        import pyarrow.compute as pc
-
-        def f(t: pa.Table) -> pa.Table:
-            x = t.column("doc_id")
-            ten = pa.scalar(10, pa.int64())
-            mod = pc.subtract(x, pc.multiply(pc.divide(x, ten), ten))
-            mask = pc.greater_equal(mod, pa.scalar(7, pa.int64()))
-            if not is_new:
-                mask = pc.invert(mask)
-            return t.filter(mask)
-
-        return docs.map_batches(f, batch_format="pyarrow")
-
-    out = incremental_exact_dedup(split(True), split(False)).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def doc_length_band_stats(sf_dir: str, lo_q: float = 0.05,
-                          hi_q: float = 0.95) -> pd.DataFrame:
-    """Quantile-band length filter (standard LLM-corpus cleaning): keep
-    documents whose char length lies within the corpus's [p05, p95]
-    quantile band, rolled up per language. Two streaming passes: the exact
-    interpolated quantiles come from the distributed counting histogram
-    (ops/text.length_quantiles — the shuffle carries one row per distinct
-    length per block), then a vectorized filter + partial-agg groupby.
-    Oracle: DuckDB quantile_cont thresholds in a scalar subquery."""
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums
-
-    q = tx.length_quantiles(_docs(sf_dir, ["text"]), qs=(lo_q, hi_q))
-    lo, hi = q[lo_q], q[hi_q]
-
-    ds = _docs(sf_dir, ["text", "lang"])
-
-    def in_band(t: pa.Table) -> pa.Table:
-        ln = pc.utf8_length(t.column("text")).cast(pa.int64())
-        keep = pc.and_(pc.greater_equal(ln.cast(pa.float64()), lo),
-                       pc.less_equal(ln.cast(pa.float64()), hi))
-        kept = pa.table({"lang": t.column("lang"), "len": ln}).filter(keep)
-        agg = kept.group_by(["lang"]).aggregate([("len", "sum"), ([], "count_all")])
-        return agg.rename_columns(["lang", "chars", "n"])
-
-    parts = ds.map_batches(in_band, batch_format="pyarrow", zero_copy_batch=True)
-    out = grouped_sums(parts, keys=["lang"],
-                       sum_cols={"total_chars": "chars", "n_docs": "n"})
-    out = out.astype({"total_chars": "int64", "n_docs": "int64"})
-    return (out.sort_values("lang").reset_index(drop=True)
-            [["lang", "n_docs", "total_chars"]])
-
-
-def doc_length_quantiles_by_lang(sf_dir: str) -> pd.DataFrame:
-    """Per-language exact length quantiles (grouped counting-histogram CDF,
-    ops/text.grouped_length_quantiles). Oracle: quantile_cont GROUP BY."""
-    out = tx.grouped_length_quantiles(_docs(sf_dir, ["text", "lang"]),
-                                      group_col="lang", qs=(0.5, 0.9))
-    out["q50"] = out["q50"].round(4)
-    out["q90"] = out["q90"].round(4)
-    return out.sort_values("lang").reset_index(drop=True)[["lang", "q50", "q90"]]
 
 
 def _unigram_scored(ds):
@@ -842,20 +387,6 @@ def doc_quality_budget(sf_dir: str) -> pd.DataFrame:
         return empty
     return _finish(kept, "doc_id", {"doc_id": "int64", "n_tokens": "int64",
                                     "avg_nll": "float64"})
-
-
-def doc_split_assign(sf_dir: str) -> pd.DataFrame:
-    """Deterministic 80/10/10 train/val/test assignment over documents
-    (md5 bucket rule, DuckDB-oracled row-for-row). The mix64 production
-    rule is the same operator with method='mix64' (fractional, vectorized);
-    assignment is a pure function of (doc_id, seed) so corpus deltas never
-    move prior rows between splits."""
-    from ..ops.sample import split_assign
-
-    out = split_assign(_docs(sf_dir, ["doc_id", "lang"]), "doc_id",
-                       {"train": 0.8, "val": 0.1, "test": 0.1},
-                       method="md5").to_pandas()
-    return _finish(out, "doc_id")
 
 
 def doc_language_rebalance(sf_dir: str) -> pd.DataFrame:
@@ -1656,398 +1187,6 @@ def embedding_class_scatter(sf_dir: str) -> pd.DataFrame:
             .sort_values("label").reset_index(drop=True))
 
 
-def embedding_quantization(sf_dir: str) -> pd.DataFrame:
-    """Int8 scalar quantization of the embeddings table, value-oracled per
-    vector: (scale, n_dims, sum/sum-abs/max/min of the codes) — DuckDB
-    re-derives the codes with the same round-half-away rule over the same
-    float64 arithmetic, so any quantization bug (wrong scale, wrong
-    rounding, axis mixup) breaks the row compare."""
-    import pyarrow.compute as pc
-
-    q = sim.quantize_embeddings(_emb(sf_dir).select_columns(
-        ["vec_id", "embedding"]))
-
-    def summarize(t: pa.Table) -> pa.Table:
-        col = t.column("q")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n = len(col)
-        codes = col.flatten().to_numpy(zero_copy_only=False).reshape(n, -1)
-        return pa.table({
-            "vec_id": t.column("vec_id"),
-            "scale": t.column("scale"),
-            "n_dims": pa.array(np.full(n, codes.shape[1]), pa.int64()),
-            "sum_code": pa.array(codes.sum(axis=1, dtype=np.int64), pa.int64()),
-            "sum_abs_code": pa.array(
-                np.abs(codes.astype(np.int64)).sum(axis=1), pa.int64()),
-            "max_code": pa.array(codes.max(axis=1).astype(np.int64), pa.int64()),
-            "min_code": pa.array(codes.min(axis=1).astype(np.int64), pa.int64()),
-        })
-
-    out = q.map_batches(summarize, batch_format="pyarrow").to_pandas()
-    return _finish(out, "vec_id")
-
-
-def similarity_topk_quantized(sf_dir: str) -> pd.DataFrame:
-    """Quantize-coarse + exact-re-rank top-k with a full beam — the re-rank
-    then restores exact brute-force semantics, so the brute-force DuckDB
-    oracle gates the whole coarse/beam/re-rank machinery (the sublinear
-    partial-beam path is recall-tested in units)."""
-    q = _query_vector(sf_dir)
-    if q is None:
-        return _empty_topk()
-    return sim.quantized_topk(_emb(sf_dir), q, k=10, beam=None,
-                              exclude_ids=(0,))
-
-
-def doc_quality_filter(sf_dir: str) -> pd.DataFrame:
-    """Named Gopher/C4-style keep rules over the quality features, with
-    per-rule violation counts — the aggregate a corpus curator reads before
-    committing a filter. Rules run on the ROUNDED features (the same values
-    doc_quality is value-oracled on), so the SQL twin is exact. One row:
-    (n_docs, n_kept, viol_mean_tok, viol_punct, viol_stopword, viol_upper).
-    Scale shape: per-batch partial counts, one driver sum — no collect of
-    the doc frame."""
-    import pyarrow.compute as pc
-
-    scored = tx.quality_scores(_docs(sf_dir, ["doc_id", "text"]))
-
-    def partial(t: pa.Table) -> pa.Table:
-        mt = t.column("mean_token_len").to_numpy(zero_copy_only=False)
-        pr = t.column("punct_ratio").to_numpy(zero_copy_only=False)
-        sr = t.column("stopword_ratio").to_numpy(zero_copy_only=False)
-        ur = t.column("upper_ratio").to_numpy(zero_copy_only=False)
-        v_mt = ~((mt > 2.5) & (mt < 12))
-        v_pr = ~(pr < 0.2)
-        v_sr = ~(sr > 0.01)
-        v_ur = ~(ur < 0.3)
-        keep = ~(v_mt | v_pr | v_sr | v_ur)
-        return pa.table({c: pa.array([int(v.sum())], pa.int64()) for c, v in [
-            ("n_docs", np.ones(len(mt), dtype=bool)), ("n_kept", keep),
-            ("viol_mean_tok", v_mt), ("viol_punct", v_pr),
-            ("viol_stopword", v_sr), ("viol_upper", v_ur)]})
-
-    parts = scored.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame({c: pd.array(
-        [int(parts[c].sum()) if c in parts.columns else 0], dtype="int64")
-        for c in ["n_docs", "n_kept", "viol_mean_tok",
-                  "viol_punct", "viol_stopword", "viol_upper"]})
-
-
-def frequent_tokens_invariants(sf_dir: str) -> pd.DataFrame:
-    """Misra-Gries heavy-hitter invariants, DuckDB-oracled. The sketch's
-    guarantee (mergeable summaries: true - n/(k+1) <= est <= true) is
-    checked engine-side against the exact distributed token counts; the
-    oracle SQL-counts the stream length and the true-heavy set (freq >
-    n/(k+1)) and pins the violation counters to literal 0. One row:
-    (n_tokens, k, n_true_heavy, n_missed_heavy, n_bound_violations)."""
-    from ..ops.agg import grouped_sums
-    from ..ops.sketches import frequent_tokens
-
-    K = 64
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    mg, n_total = frequent_tokens(docs, k=K)
-
-    # exact counts, restricted to (candidates ∪ anything heavy): the full
-    # groupby here is the invariant CHECK, not the production path — the
-    # sketch exists precisely so production never runs this groupby
-    import pyarrow.compute as pc
-
-    def local(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.utf8_split_whitespace(
-            pc.utf8_trim_whitespace(t.column("text"))))
-        flat = pa.table({"tok": toks}).filter(pc.not_equal(toks, ""))
-        agg = flat.group_by(["tok"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["tok", "c_part"])
-
-    true_counts = grouped_sums(docs.map_batches(local, batch_format="pyarrow"),
-                               keys=["tok"], sum_cols={"c": "c_part"})
-    bound = n_total / (K + 1.0)
-    truth = dict(zip(true_counts["tok"], true_counts["c"].astype(int)))
-    heavy = {t for t, c in truth.items() if c > bound}
-    cand = mg.counters
-    n_missed = len([t for t in heavy if t not in cand])
-    n_viol = len([t for t, est in cand.items()
-                  if est > truth.get(t, 0) or est < truth.get(t, 0) - bound])
-    return pd.DataFrame({
-        "n_tokens": pd.array([n_total], dtype="int64"),
-        "k": pd.array([K], dtype="int64"),
-        "n_true_heavy": pd.array([len(heavy)], dtype="int64"),
-        "n_missed_heavy": pd.array([n_missed], dtype="int64"),
-        "n_bound_violations": pd.array([n_viol], dtype="int64")})
-
-
-def ngram_contamination_bloom(sf_dir: str, holdout_source: str = "src0",
-                              k_gram: int = 4,
-                              m_bits: int = 1 << 20) -> pd.DataFrame:
-    """Bloom-filter decontamination — the broadcast scale path of
-    ``ngram_contamination``: the holdout gram set collapses to an m-bit
-    filter (one sketch row per batch, OR-merged on the driver, broadcast
-    once), so flagging train grams is a MAP-ONLY membership test instead of
-    a bucketed semi join (no shuffle of the train gram stream at all).
-    False positives only (~(1-e^{-hn/m})^h; zero false negatives by
-    construction), so counts are an upper bound of the exact ones — the
-    right screening direction for decontamination. Returns per-doc
-    (doc_id, n_flagged_grams) for every train doc with at least one flag."""
-    import pyarrow.compute as pc
-    import ray
-
-    from ..functions.hashing import content_hash64_arrow
-    from ..ops.agg import grouped_sums_ds
-    from ..ops.sketches import BloomFilter
-
-    H = 4
-    ds = _docs(sf_dir, ["doc_id", "text", "source"])
-    test = ds.filter(expr=f"source == '{holdout_source}'").map_batches(
-        lambda t: _word_grams(t, k_gram, with_doc=False), batch_format="pyarrow")
-
-    def sketch(t: pa.Table) -> pa.Table:
-        bf = BloomFilter(m_bits, H)
-        bf.add_hashes(content_hash64_arrow(t.column("gram")))
-        return pa.table({"bits": pa.array([bf.to_bytes()], pa.binary())})
-
-    merged = BloomFilter(m_bits, H)
-    for b in test.map_batches(sketch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        for raw in b.column("bits").to_pylist():
-            merged = merged.merge(BloomFilter.from_bytes(raw, m_bits, H))
-    ref = ray.put(merged.to_bytes())
-
-    def flag(t: pa.Table) -> pa.Table:
-        bf = BloomFilter.from_bytes(ray.get(ref), m_bits, H)
-        hit = bf.contains_hashes(content_hash64_arrow(t.column("gram")))
-        return t.filter(pa.array(hit))
-
-    train = ds.filter(expr=f"source != '{holdout_source}'").map_batches(
-        lambda t: _word_grams(t, k_gram, with_doc=True), batch_format="pyarrow")
-    counts = grouped_sums_ds(train.map_batches(flag, batch_format="pyarrow"),
-                             keys=["doc_id"], sum_cols={},
-                             count_alias="n_flagged_grams")
-    return _finish(counts.to_pandas(), "doc_id",
-                   {"doc_id": "int64", "n_flagged_grams": "int64"})
-
-
-def ngram_contamination_bloom_invariants(sf_dir: str) -> pd.DataFrame:
-    """Zero-false-negative gate for the bloom decontamination path: every
-    doc flagged by the EXACT bucketed semi join (itself value-oracled via
-    ngram_contamination) must appear in the bloom results with at least
-    the exact count. SQL pins (n_train_docs, n_exact_contaminated) and the
-    two violation counters to 0. The count frames collected here are
-    O(contaminated docs), the invariant-query pattern used by the LSH
-    subset gates."""
-    from ..ops.agg import grouped_sums_ds
-    from ..ops.joins import bucket_semi_join
-
-    ds = _docs(sf_dir, ["doc_id", "text", "source"])
-    n_train = ds.filter(expr="source != 'src0'").count()
-    test = ds.filter(expr="source == 'src0'").map_batches(
-        lambda t: _word_grams(t, 4, with_doc=False), batch_format="pyarrow")
-    train = ds.filter(expr="source != 'src0'").map_batches(
-        lambda t: _word_grams(t, 4, with_doc=True), batch_format="pyarrow")
-    from ..ops.agg import ensure_columns
-
-    exact = ensure_columns(
-        grouped_sums_ds(bucket_semi_join(train, test, on="gram"),
-                        keys=["doc_id"], sum_cols={},
-                        count_alias="n_exact").to_pandas(),
-        {"doc_id": "int64", "n_exact": "int64"})
-    bloom = ensure_columns(ngram_contamination_bloom(sf_dir),
-                           {"doc_id": "int64", "n_flagged_grams": "int64"})
-    merged = exact.merge(bloom, on="doc_id", how="left")
-    n_missed = int(merged["n_flagged_grams"].isna().sum())
-    hit = merged.dropna(subset=["n_flagged_grams"])
-    n_under = int((hit["n_flagged_grams"] < hit["n_exact"]).sum())
-    return pd.DataFrame({
-        "n_train_docs": pd.array([n_train], dtype="int64"),
-        "n_exact_contaminated": pd.array([len(exact)], dtype="int64"),
-        "n_missed_docs": pd.array([n_missed], dtype="int64"),
-        "n_undercounted_docs": pd.array([n_under], dtype="int64")})
-
-
-def doc_bottomk_sample(sf_dir: str, k: int = 50) -> pd.DataFrame:
-    """Exact-size uniform sample: the k documents with the smallest seeded
-    hash rank — the distributed replacement for reservoir sampling
-    (deterministic, mergeable: per-batch bottom-k partials, driver merge;
-    adding data can only displace ranks, never perturb the rule). md5 rank
-    here for the row-for-row DuckDB oracle; production uses the mix64 rank
-    (same operator shape, fractional-free, no per-row Python)."""
-    import hashlib
-
-    from ..ops.agg import topk_ds
-
-    ds = _docs(sf_dir, ["doc_id", "lang"])
-
-    def rank(t: pa.Table) -> pa.Table:
-        ranks = [hashlib.md5(f"{d}:42".encode()).hexdigest()
-                 for d in t.column("doc_id").to_pylist()]
-        return t.append_column("rank", pa.array(ranks, pa.string()))
-
-    out = topk_ds(ds.map_batches(rank, batch_format="pyarrow"),
-                  by=["rank", "doc_id"], ascending=[True, True], k=k,
-                  columns=["doc_id", "lang", "rank"])
-    return (out[["doc_id", "lang"]].astype({"doc_id": "int64"})
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-def doc_compression_ratios(sf_dir: str) -> pd.DataFrame:
-    """zlib compression-ratio quality signal per document (rows-only: no
-    SQL zlib; determinism + repetition-sensitivity unit-tested)."""
-    out = tx.compression_ratios(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def frequent_tokens_by_lang_invariants(sf_dir: str) -> pd.DataFrame:
-    """Per-language Misra-Gries gate (the grouped twin of
-    frequent_tokens_invariants): for EVERY language, the sketch must cover
-    that language's true-heavy tokens (freq > n_lang/(k+1)) within the est
-    bound. One row per language; SQL pins per-lang stream length and
-    true-heavy count, zeros for the violation counters."""
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums
-    from ..ops.sketches import frequent_tokens_by_group
-
-    K = 32
-    docs = _docs(sf_dir, ["doc_id", "text", "lang"])
-    mg_rows = frequent_tokens_by_group(docs, "lang", k=K).to_pandas()
-
-    def local(t: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(t.column("text")))
-        offs = toks.combine_chunks().offsets.to_numpy(zero_copy_only=False)
-        langs = t.column("lang").to_numpy(zero_copy_only=False)
-        flat = pa.table({
-            "lang": pa.array(np.repeat(langs, np.diff(offs))),
-            "tok": pc.list_flatten(toks),
-        }).filter(pc.not_equal(pc.list_flatten(toks), ""))
-        agg = flat.group_by(["lang", "tok"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["lang", "tok", "c_part"])
-
-    true_counts = grouped_sums(docs.map_batches(local, batch_format="pyarrow"),
-                               keys=["lang", "tok"], sum_cols={"c": "c_part"})
-    rows = []
-    for lang, sub in true_counts.groupby("lang", sort=True):
-        n_lang = int(sub["c"].sum())
-        bound = n_lang / (K + 1.0)
-        truth = dict(zip(sub["tok"], sub["c"].astype(int)))
-        heavy = {t for t, c in truth.items() if c > bound}
-        cand = dict(zip(mg_rows.loc[mg_rows["lang"] == lang, "key"],
-                        mg_rows.loc[mg_rows["lang"] == lang, "est"]))
-        n_missed = len([t for t in heavy if t not in cand])
-        n_viol = len([t for t, est in cand.items()
-                      if est > truth.get(t, 0) or est < truth.get(t, 0) - bound])
-        rows.append({"lang": lang, "n_tokens": n_lang,
-                     "n_true_heavy": len(heavy), "n_missed_heavy": n_missed,
-                     "n_bound_violations": n_viol})
-    out = pd.DataFrame(rows)
-    return out.astype({c: "int64" for c in out.columns if c != "lang"})
-
-
-def inverted_index_terms(sf_dir: str, k: int = 25) -> pd.DataFrame:
-    """Top-k inverted-index rows by (df DESC, term ASC): exact posting
-    lists (comma-joined ascending doc ids), document frequency, total term
-    frequency. Oracle: DuckDB unnest + ordered string_agg."""
-    from ..ops.agg import topk_ds
-    from ..ops.text import build_inverted_index
-
-    idx = build_inverted_index(_docs(sf_dir, ["doc_id", "text"]))
-    out = topk_ds(idx, by=["df", "term"], ascending=[False, True], k=k,
-                  columns=["term", "df", "tf_total", "postings"])
-    if out.empty:
-        return pd.DataFrame({"term": pd.Series(dtype="str"),
-                             "df": pd.Series(dtype="int64"),
-                             "tf_total": pd.Series(dtype="int64"),
-                             "postings": pd.Series(dtype="str")})
-    out = out.astype({"df": "int64", "tf_total": "int64"})
-    return out[["term", "df", "tf_total", "postings"]].reset_index(drop=True)
-
-
-def semdedup_embeddings(sf_dir: str, n_clusters: int = 8,
-                        tau: float = 0.45) -> pd.DataFrame:
-    """SemDeDup assignment/keep table (rows-only: cluster ids are
-    seed-defined; the external gate is ``semdedup_invariants``)."""
-    out = sim.semdedup(_emb(sf_dir), n_clusters=n_clusters, tau=tau).to_pandas()
-    return _finish(out, "vec_id", {"vec_id": "int64", "cluster": "int64",
-                                   "keep": "bool"})
-
-
-def semdedup_invariants(sf_dir: str, n_clusters: int = 8,
-                        tau: float = 0.45) -> pd.DataFrame:
-    """DuckDB-oracled SemDeDup invariants: (n_vecs, n_pruned_without_witness)
-    with the witness count pinned to 0 in SQL — a vector may only be pruned
-    if it is the larger element of some EXACT cosine>=tau pair (the pair set
-    itself is the SQL-oracled ``embedding_neardup`` surface), so a buggy
-    clustering or prune rule that drops a vector with no global near-dup
-    breaks the gate."""
-    from ..ops.joins import bucket_semi_join
-
-    marks = sim.semdedup(_emb(sf_dir), n_clusters=n_clusters, tau=tau)
-    marks = marks.materialize()
-    n_vecs = marks.count()
-    pruned = marks.filter(expr="keep == False").select_columns(["vec_id"])
-    pairs = sim.embedding_neardup_pairs(_emb(sf_dir), tau=tau)
-    import ray.data as _rd
-
-    if pairs.empty:
-        n_unwitnessed = pruned.count()
-    else:
-        witnesses = _rd.from_pandas(pairs[["id_b"]].drop_duplicates())
-        orphan = bucket_semi_join(pruned, witnesses, on="vec_id",
-                                  right_on="id_b", negate=True)
-        n_unwitnessed = orphan.count()
-    return pd.DataFrame({
-        "n_vecs": pd.Series([int(n_vecs)], dtype="int64"),
-        "n_pruned_without_witness": pd.Series([int(n_unwitnessed)],
-                                              dtype="int64"),
-    })
-
-
-def doc_normalize(sf_dir: str) -> pd.DataFrame:
-    """Byte-exact normalized text per document (oracled)."""
-    out = tx.normalize_texts(_docs(sf_dir, ["doc_id", "text"])).to_pandas()
-    return _finish(out, "doc_id")
-
-
-def crosscorpus_contamination_pairs(sf_dir: str, holdout_source: str = "src0",
-                                    tau: float = 0.3) -> pd.DataFrame:
-    """Document-level fuzzy decontamination: every (holdout doc, train doc)
-    pair with word 3-gram Jaccard >= tau (oracled — SQL reproduces the
-    cross-side pair join)."""
-    ds = _docs(sf_dir, ["doc_id", "text", "source"])
-    holdout = ds.filter(expr=f"source == '{holdout_source}'")
-    train = ds.filter(expr=f"source != '{holdout_source}'")
-    return dd.crosscorpus_jaccard_exact(train, holdout, shingle_k=3, tau=tau)
-
-
-def dedup_exact_size_histogram(sf_dir: str) -> pd.DataFrame:
-    """Exact-duplicate group-size distribution: (group_size, n_groups) —
-    the dedup report surface (how much of the corpus is exact-dup mass).
-    Engine: content-hash groupby sizes -> size histogram (two tiny
-    exchanges); oracle: SQL text groupby twice."""
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import content_hash128_arrow
-    from ..ops.agg import grouped_sums
-
-    ds = _docs(sf_dir, ["doc_id", "text"])
-
-    def keyed(t: pa.Table) -> pa.Table:
-        h = content_hash128_arrow(t.column("text"))
-        d = pa.table({"h": h}).group_by(["h"]).aggregate([([], "count_all")])
-        return d.rename_columns(["h", "n_part"])
-
-    pre = ds.map_batches(keyed, batch_format="pyarrow")
-    from ..ops.agg import grouped_sums_ds
-
-    sizes = grouped_sums_ds(pre, keys=["h"], sum_cols={"group_size": "n_part"})
-    ones = sizes.map_batches(
-        lambda t: pa.table({"group_size": t.column("group_size").cast(pa.int64()),
-                            "one": pa.array(np.ones(t.num_rows, np.int64))}),
-        batch_format="pyarrow")
-    out = grouped_sums(ones, keys=["group_size"], sum_cols={"n_groups": "one"})
-    out = out.astype({"group_size": "int64", "n_groups": "int64"})
-    return out.sort_values("group_size").reset_index(drop=True)
-
-
 def bm25_search(sf_dir: str, terms: tuple[str, ...] = ("spark", "merge", "vector"),
                 k: int = 15, k1: float = 1.2, b: float = 0.75) -> pd.DataFrame:
     """BM25 top-k retrieval over the documents corpus — the classic IR
@@ -2332,32 +1471,6 @@ def dup_ngram_coverage(sf_dir: str, k_gram: int = 5) -> pd.DataFrame:
             .sort_values("doc_id").reset_index(drop=True))
 
 
-def doc_weighted_sample(sf_dir: str, k: int = 50) -> pd.DataFrame:
-    """Length-weighted exact-k document sample (Efraimidis-Spirakis
-    weighted WOR via ops.sample.weighted_bottomk): longer documents are
-    proportionally likelier — the standard shape for token-budget-weighted
-    corpus subsampling. md5/libm oracle mode here so DuckDB reproduces the
-    rank expression bit-for-bit; production uses the vectorized mix64
-    mode (same operator, no per-row Python). rank_nano carries the
-    selected ranks as comparable integers."""
-    from ..ops.agg import round_away
-    from ..ops.sample import weighted_bottomk
-
-    ds = _docs(sf_dir, ["doc_id", "n_chars"])
-    out = weighted_bottomk(ds, key_col="doc_id", weight_col="n_chars",
-                           k=k, seed=42, method="md5")
-    if out.empty:
-        return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                             "n_chars": pd.Series(dtype="int64"),
-                             "rank_nano": pd.Series(dtype="int64")})
-    nano = round_away(out["rank"].to_numpy() * 1e9, 0)
-    out = out.assign(rank_nano=nano.astype("int64"))
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_chars"] = out["n_chars"].astype("int64")
-    return (out[["doc_id", "n_chars", "rank_nano"]]
-            .sort_values(["rank_nano", "doc_id"]).reset_index(drop=True))
-
-
 def doc_length_ranks(sf_dir: str) -> pd.DataFrame:
     """Global ranking window — row_number() OVER (ORDER BY n_chars DESC,
     doc_id) for every document, computed distributed (ops.agg.
@@ -2378,58 +1491,6 @@ def doc_length_ranks(sf_dir: str) -> pd.DataFrame:
     out["rnk"] = out["rnk"].astype("int64")
     return (out[["doc_id", "n_chars", "rnk"]]
             .sort_values("rnk").reset_index(drop=True))
-
-
-def doc_per_lang_sample(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Balanced per-language exact-k sample (ops.sample.
-    grouped_bottomk_sample, md5 oracle mode): the per-group twin of
-    doc_bottomk_sample — k docs per language by smallest seeded hash
-    rank, reproducible as SQL's row_number() PARTITION BY."""
-    from ..ops.sample import grouped_bottomk_sample
-
-    ds = _docs(sf_dir, ["doc_id", "lang"])
-    out = grouped_bottomk_sample(ds, group_col="lang", key_col="doc_id",
-                                 k=k, seed=42, method="md5").to_pandas()
-    if out.empty:
-        return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                             "lang": pd.Series(dtype="str")})
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return (out[["doc_id", "lang"]]
-            .sort_values(["lang", "doc_id"]).reset_index(drop=True))
-
-
-def lang_confusion(sf_dir: str) -> pd.DataFrame:
-    """Language-ID confusion matrix: declared ``lang`` x predicted lang
-    (ops.text.LangId heuristic) with document counts — the standard
-    quality report for a corpus language classifier. Map-only scoring
-    (the vectorized stopword-profile kernel) + one partial-agg groupby
-    over the tiny (lang, pred_lang) key space; SQL re-derives the
-    predictions independently (same rule as the doc_lang_id oracle)."""
-    from ..ops.agg import grouped_sums
-    from ..ops.text import LangId
-
-    ds = _docs(sf_dir, ["doc_id", "text", "lang"])
-
-    def score(t: pa.Table) -> pa.Table:
-        out = LangId()(t.select(["doc_id", "text"]))
-        return pa.table({"lang": t.column("lang"),
-                         "pred_lang": out.column("pred_lang")})
-
-    pairs = ds.map_batches(score, batch_format="pyarrow")
-    out = grouped_sums(pairs, keys=["lang", "pred_lang"], sum_cols={},
-                       count_alias="n")
-    out["n"] = out["n"].astype("int64")
-    return (out[["lang", "pred_lang", "n"]]
-            .sort_values(["lang", "pred_lang"]).reset_index(drop=True))
-
-
-def embedding_gram_matrix(sf_dir: str) -> pd.DataFrame:
-    """Exact distributed Gram matrix over the embeddings table — the
-    sufficient-statistic primitive for PCA/covariance/whitening at corpus
-    scale (ops/similarity.gram_matrix: per-block int64-quantized matmul
-    partials, O(d²) per block on the exchange, no vector leaves its
-    block)."""
-    return sim.gram_matrix(_emb(sf_dir).select_columns(["embedding"]))
 
 
 def gopher_rule_report(sf_dir: str) -> pd.DataFrame:
@@ -2509,123 +1570,6 @@ def gopher_rule_report(sf_dir: str) -> pd.DataFrame:
         "n_pass": pd.Series([int(tot[r]) for r in rules], dtype="int64"),
         "n_docs": pd.Series([int(tot["n_docs"])] * len(rules), dtype="int64"),
     })
-
-
-def corpus_snapshot_diff(sf_dir: str) -> pd.DataFrame:
-    """Snapshot diff between two corpus versions — the added / removed /
-    changed / unchanged report a dataset-versioning workflow publishes
-    when a new crawl lands. Both versions derive DETERMINISTICALLY from
-    the documents table (prior = doc_id % 10 != 0, with a planted edit on
-    doc_id % 7 == 0; current = doc_id % 9 != 0), so the DuckDB twin
-    re-derives them independently.
-
-    Scale shape: one pruned read feeds both sides (a filter each), the
-    diff is ONE doc_id-bucketed FULL OUTER join with per-bucket text
-    compare, and only (change_type, n) partials leave the buckets."""
-    import pyarrow.compute as pc
-
-    from ..ops.agg import grouped_sums
-    from ..ops.joins import bucket_join
-
-    ds = _docs(sf_dir, ["doc_id", "text"]).materialize()
-
-    def prior(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id")
-        keep = pc.not_equal(pc.subtract(
-            ids, pc.multiply(pc.divide(ids, 10), 10)), 0)
-        f = t.filter(keep)
-        edited = pc.equal(pc.subtract(
-            f.column("doc_id"),
-            pc.multiply(pc.divide(f.column("doc_id"), 7), 7)), 0)
-        text = pc.if_else(edited,
-                          pc.binary_join_element_wise(
-                              f.column("text").cast(pa.string()),
-                              pa.scalar(" v0"), ""),
-                          f.column("text"))
-        return pa.table({"doc_id": f.column("doc_id"), "text_prior": text})
-
-    def current(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id")
-        keep = pc.not_equal(pc.subtract(
-            ids, pc.multiply(pc.divide(ids, 9), 9)), 0)
-        f = t.filter(keep)
-        return pa.table({"doc_id": f.column("doc_id"),
-                         "text_cur": f.column("text")})
-
-    p = ds.map_batches(prior, batch_format="pyarrow")
-    c = ds.map_batches(current, batch_format="pyarrow")
-    joined = bucket_join(c, p, on="doc_id", how="outer")
-
-    def classify(g: pd.DataFrame) -> pd.DataFrame:
-        has_c = g["text_cur"].notna()
-        has_p = g["text_prior"].notna()
-        kind = np.where(~has_p, "added",
-                        np.where(~has_c, "removed",
-                                 np.where(g["text_cur"] == g["text_prior"],
-                                          "unchanged", "changed")))
-        out = (pd.DataFrame({"change_type": kind})
-               .groupby("change_type", as_index=False)
-               .size().rename(columns={"size": "n_part"}))
-        out["n_part"] = out["n_part"].astype("int64")
-        return out
-
-    parts = joined.map_batches(classify, batch_format="pandas")
-    out = grouped_sums(parts, keys=["change_type"], sum_cols={"n": "n_part"})
-    if out.empty:
-        return pd.DataFrame({"change_type": pd.Series(dtype="object"),
-                             "n": pd.Series(dtype="int64")})
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("change_type").reset_index(drop=True)[
-        ["change_type", "n"]]
-
-
-def countmin_token_counts(sf_dir: str, k: int = 20, width: int = 4096,
-                          depth: int = 5) -> pd.DataFrame:
-    """Count-min sketch gate over the token stream, DuckDB-oracled: the
-    engine computes BOTH the exact top-k token counts (SQL-matched) and a
-    merged CountMin estimate per token, emitting the sketch's two formal
-    guarantees as pinned-true flags — never-under-count (certain by
-    construction) and within eps*N for eps = 4e/width (per-token failure
-    probability (1/4e)^depth ~ 7e-6 at depth 5; the seeded hash makes the
-    flag deterministic, not flaky).
-
-    Scale shape: one token explode feeds per-batch vocabulary-sized
-    (tok, hash, count) partials; the sketch exchange is depth*width ints
-    per BATCH (constant), the exact side is the oracled top_tokens
-    machinery (partial counts -> one groupby)."""
-    import math
-
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import content_hash64_arrow
-    from ..ops.agg import grouped_sums
-    from ..ops.sketches import countmin_from_partials
-
-    ds = _docs(sf_dir, ["text"])
-
-    def explode(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.utf8_split_whitespace(t.column("text")))
-        toks = toks.filter(pc.not_equal(toks, pa.scalar("")))
-        agg = pa.table({"tok": toks}).group_by(["tok"]).aggregate(
-            [([], "count_all")]).rename_columns(["tok", "n_part"])
-        h = content_hash64_arrow(agg.column("tok").combine_chunks())
-        return agg.append_column("h", pa.array(h.astype(np.int64)))
-
-    parts = ds.map_batches(explode, batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
-    cm = countmin_from_partials(parts, "h", "n_part", width, depth)
-    exact = grouped_sums(parts, keys=["tok"], sum_cols={"n": "n_part"})
-    exact["n"] = exact["n"].astype("int64")
-    n_total = int(exact["n"].sum())
-    top = (exact.sort_values(["n", "tok"], ascending=[False, True])
-           .head(k).reset_index(drop=True))
-    h_top = content_hash64_arrow(pa.array(top["tok"].tolist(), pa.string()))
-    est = cm.estimate_hashes(h_top)
-    true = top["n"].to_numpy(np.int64)
-    slack = int(math.ceil(4 * math.e / width * n_total))
-    top["cm_overestimates"] = (est >= true)
-    top["cm_within_bound"] = (est <= true + slack)
-    return top[["tok", "n", "cm_overestimates", "cm_within_bound"]]
 
 
 def rrf_hybrid_search(sf_dir: str, k: int = 10, rrf_k: int = 60) -> pd.DataFrame:

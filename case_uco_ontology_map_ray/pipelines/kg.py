@@ -338,6 +338,44 @@ def literal_value_counts(triples: rd.Dataset) -> "pd.DataFrame":
             .reset_index(drop=True))
 
 
+# one schema for every custom_facet_definitions group, empty or not
+_FACET_DEF_SCHEMA = pa.schema([("artifact_type", pa.string()),
+                               ("facet_name", pa.string()),
+                               ("properties", pa.string()),
+                               ("ttl", pa.string())])
+
+
+def _facet_definition(g: pa.Table) -> pa.Table:
+    """One artifact type's (artifact_type, field_sig, sample) rows -> its
+    dfc-ext facet definition row, or no row when the auto-mapper maps the
+    type to real UCO classes or no field is left unmapped."""
+    from ..config import FALLBACK_ONTOLOGY_MAP, RESERVED_RECORD_KEYS
+    from ..kg.custom_facets import generate_custom_facets
+    from ..kg.mapper import ArtifactMapper
+    from ..ontology.automap import build_ontology_map
+
+    g = g.sort_by([("field_sig", "ascending"), ("sample", "ascending")])
+    atype = g.column("artifact_type")[0].as_py()
+    record = loads_fast(g.column("sample")[0].as_py())
+    auto_map, _ = build_ontology_map(atype or "", sorted(record.keys()))
+    if auto_map is not None:
+        return _FACET_DEF_SCHEMA.empty_table()
+    base = ArtifactMapper(FALLBACK_ONTOLOGY_MAP)
+    unmapped = base.unmapped_fields(record, reserved=RESERVED_RECORD_KEYS)
+    details = [{"field": f, "sampleValue": record.get(f)} for f in unmapped]
+    custom, _updated, ttl = generate_custom_facets(
+        details, record, atype, FALLBACK_ONTOLOGY_MAP
+    )
+    if not custom:
+        return _FACET_DEF_SCHEMA.empty_table()
+    facet_name = next(iter(custom["facetDefinitions"]))
+    props = json.dumps(custom["facetDefinitions"][facet_name]["properties"],
+                       sort_keys=True)
+    return pa.table({"artifact_type": [atype], "facet_name": [facet_name],
+                     "properties": [props], "ttl": [ttl]},
+                    schema=_FACET_DEF_SCHEMA)
+
+
 def custom_facet_definitions(source: "str | rd.Dataset"):
     """T4 as a distributed aggregate: per artifact type (custom-facet path
     only), the deterministic dfc-ext facet definition + TTL stub inferred
@@ -348,11 +386,7 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
     Precedence matches TurnTriples._mapper_for: a type the deterministic
     auto-mapper (ontology/automap.py) maps to real UCO classes never reaches
     the dfc-ext path, so it emits no custom facet here either."""
-    import pandas as pd
-
-    from ..config import FALLBACK_ONTOLOGY_MAP, ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
-    from ..kg.custom_facets import generate_custom_facets
-    from ..kg.mapper import ArtifactMapper
+    from ..config import ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
 
     ds = _transcripts(source)
     known = set(ONTOLOGY_MAPS)
@@ -375,33 +409,8 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
         return agg.rename_columns(["artifact_type", "field_sig", "sample"])
 
     pre = ds.map_batches(sigs, batch_format="pyarrow")
-
-    def per_type(g: pd.DataFrame) -> pd.DataFrame:
-        from ..ontology.automap import build_ontology_map
-
-        g = g.sort_values(["field_sig", "sample"])
-        atype = g["artifact_type"].iloc[0]
-        record = loads_fast(g["sample"].iloc[0])
-        empty = pd.DataFrame({"artifact_type": [], "facet_name": [],
-                              "properties": [], "ttl": []})
-        auto_map, _ = build_ontology_map(atype or "", sorted(record.keys()))
-        if auto_map is not None:
-            return empty
-        base = ArtifactMapper(FALLBACK_ONTOLOGY_MAP)
-        unmapped = base.unmapped_fields(record, reserved=RESERVED_RECORD_KEYS)
-        details = [{"field": f, "sampleValue": record.get(f)} for f in unmapped]
-        custom, _updated, ttl = generate_custom_facets(
-            details, record, atype, FALLBACK_ONTOLOGY_MAP
-        )
-        if not custom:
-            return empty
-        facet_name = next(iter(custom["facetDefinitions"]))
-        props = json.dumps(custom["facetDefinitions"][facet_name]["properties"],
-                            sort_keys=True)
-        return pd.DataFrame({"artifact_type": [atype], "facet_name": [facet_name],
-                             "properties": [props], "ttl": [ttl]})
-
-    out = pre.groupby("artifact_type").map_groups(per_type, batch_format="pandas")
+    out = pre.groupby("artifact_type").map_groups(_facet_definition,
+                                                  batch_format="pyarrow")
     return out.to_pandas().sort_values("artifact_type").reset_index(drop=True)
 
 

@@ -39,6 +39,7 @@ from ..config import NS_ENTITY
 from ..functions.fingerprint import uuid5_str
 from ..functions.hashing import content_hash64_arrow
 from ..ops.agg import plain_strings
+from ..ops.dedup import _labels_vectorized, propagate_labels
 from ..ops.joins import bucket_join
 
 # Triple predicates whose objects are file-path mentions.
@@ -130,158 +131,6 @@ def distinct_paths(mentions: rd.Dataset, num_parts: int = 64) -> rd.Dataset:
         return agg.rename_columns(["pid", "norm_path"])
 
     return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
-
-
-def _grouped_min(ds: rd.Dataset, key: str, val: str, out_name: str) -> rd.Dataset:
-    """groupby(key).min(val) with a local arrow combiner before the shuffle."""
-    from ray.data.aggregate import Min
-
-    def local(t: pa.Table) -> pa.Table:
-        agg = t.select([key, val]).group_by([key]).aggregate([(val, "min")])
-        return agg.rename_columns([key, val])
-
-    pre = ds.map_batches(local, batch_format="pyarrow")
-    out = pre.groupby(key).aggregate(Min(val, alias_name=out_name))
-    return out
-
-
-def propagate_labels(incidence: rd.Dataset, labels: rd.Dataset,
-                     max_rounds: int = 5, num_buckets: int = 32):
-    """Min-label propagation rounds over the bipartite (band, pid) graph.
-
-    Each round: label(pid) <- min over { label(q) : q shares a band with pid }
-    expressed as two bucket_joins + two grouped mins — iterative
-    groupby-aggregate union-find (north_rule) — followed by one POINTER-JUMP
-    step (label <- label(label), a labels-with-labels bucket_join): path
-    compression halves chain depth per round, so convergence on long
-    near-dup chains is O(log diameter) rounds instead of O(diameter), at
-    one extra join per round. Real corpora hit this: a 360k-path bench
-    slice chains 99.99% of its paths into ONE component (see
-    ROUND5_NOTES.md). The fixpoint is unchanged — component min is
-    idempotent under compression (pinned by the small==distributed
-    equivalence tests). ``max_rounds`` is a soft target (same semantics as
-    ``_labels_vectorized``): a component needing more rounds would silently
-    split, so the loop keeps going past it up to a hard cap — each extra
-    round only runs when the checksum shows labels still moving.
-
-    Returns (labels Dataset[(pid, label)], rounds_run, converged).
-    """
-    labels = labels.materialize()
-    # Block-count cap: every round unions the label table with a join output
-    # whose groupby emits one block per bucket, so without a coalesce the
-    # label lineage GROWS by O(num_buckets) blocks per round (measured: 767
-    # blocks after 8 rounds on a 214-row table, making each round's sort pay
-    # ~50 ms/block of pure scheduling = minutes on tiny data). Repartition
-    # back to a constant block count before each materialize — sized from
-    # the initial label table so big inputs keep their parallelism.
-    target_blocks = max(num_buckets, labels.num_blocks())
-    prev_sum = _label_checksum(labels)
-    hard_cap = max(max_rounds, 4 * max_rounds + 64)
-    for rnd in range(hard_cap):
-        # label(band) = min label of its members (join + grouped min)
-        lab_inc = bucket_join(incidence, labels, on="pid", num_buckets=num_buckets)
-        bucket_min = _grouped_min(lab_inc, "band", "label", "bmin").materialize()
-        # label(pid) = min(own label, min over its bands)
-        back = bucket_join(incidence, bucket_min, on="band", num_buckets=num_buckets)
-        cand = back.map_batches(
-            lambda t: t.select(["pid", "bmin"]).rename_columns(["pid", "label"]),
-            batch_format="pyarrow",
-        )
-        # materialize: the label table is small (one row per distinct path);
-        # without this every round would lazily re-execute all prior rounds
-        labels = _grouped_min(labels.union(cand), "pid", "label", "label")
-        labels = labels.repartition(target_blocks).materialize()
-
-        # pointer jump: label <- label(label). Every label VALUE is a pid
-        # with its own labels row (labels start as pid->pid and only take
-        # mins of other labels), so joining the label table onto itself on
-        # label==pid hops each node to its label's label in one pass.
-        lhs = labels.map_batches(
-            lambda t: t.rename_columns(["pid", "__k"]), batch_format="pyarrow")
-        rhs = labels.map_batches(
-            lambda t: t.rename_columns(["__k", "label"]), batch_format="pyarrow")
-        hop = bucket_join(lhs, rhs, on="__k", num_buckets=num_buckets).map_batches(
-            lambda t: t.select(["pid", "label"]), batch_format="pyarrow")
-        labels = _grouped_min(labels.union(hop), "pid", "label", "label")
-        labels = labels.repartition(target_blocks).materialize()
-
-        # convergence: labels only decrease, so the (wraparound) checksum is
-        # unchanged iff no label changed this round — no extra join needed
-        cur = _label_checksum(labels)
-        if cur == prev_sum:
-            return labels, rnd + 1, True
-        prev_sum = cur
-    return labels, hard_cap, False
-
-
-def _label_checksum(labels: rd.Dataset) -> int:
-    """Deterministic wraparound sum of the label column (distributed partial
-    sums, merged on the driver)."""
-
-    def part(t: pa.Table) -> pa.Table:
-        arr = t.column("label").to_numpy(zero_copy_only=False).view(np.uint64)
-        return pa.table({"s": pa.array([int(arr.sum(dtype=np.uint64))], pa.uint64())})
-
-    parts = labels.map_batches(part, batch_format="pyarrow").to_pandas()
-    return int(parts["s"].to_numpy(dtype=np.uint64).sum(dtype=np.uint64))
-
-
-def _labels_vectorized(band: np.ndarray, pid: np.ndarray,
-                       max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min-label propagation over (band, pid) incidence, fully vectorized.
-
-    Same fixpoint as ``propagate_labels`` (min is order-independent), but as
-    numpy segment-mins — used when the distinct-path set fits one node
-    (labels are 16 bytes/path: 10^8 paths ≈ 1.6 GB, far under a worker
-    heap). Returns (unique_pids, final_labels).
-
-    ``max_rounds`` is a soft target: a component whose diameter exceeds
-    ~2*max_rounds hops would silently split into several labels, so when the
-    cap is hit without reaching the fixpoint the loop KEEPS ITERATING (each
-    in-memory round is two reduceats — cheap) up to a hard bound, warning if
-    even that is exceeded.
-    """
-    import warnings
-
-    order = np.argsort(band, kind="stable")
-    b_sorted = band[order]
-    seg_starts = np.flatnonzero(np.r_[True, b_sorted[1:] != b_sorted[:-1]])
-    seg_lengths = np.diff(np.r_[seg_starts, len(b_sorted)])
-
-    uniq, inv = np.unique(pid, return_inverse=True)
-    inv_sorted = inv[order]
-    lab = uniq.copy()
-    hard_cap = max(max_rounds, 4 * max_rounds + 64)
-    converged = False
-    for _ in range(hard_cap):
-        row_lab = lab[inv_sorted]
-        bmin = np.minimum.reduceat(row_lab, seg_starts)
-        bmin_rows = np.repeat(bmin, seg_lengths)
-        new = lab.copy()
-        np.minimum.at(new, inv_sorted, bmin_rows)
-        # pointer jumping (path compression): every label VALUE is a pid
-        # present in uniq (labels start as uniq and only take mins of other
-        # labels), so new[index_of(new)] hops each node to its label's
-        # label — halving chain depth per inner pass. Turns convergence on
-        # long near-dup chains from O(diameter) outer rounds into
-        # O(log diameter) total (measured 2.6x on a 360k-path component
-        # whose members chain through shared shingles); the FIXPOINT is
-        # unchanged — component min is idempotent under compression.
-        while True:
-            hopped = new[np.searchsorted(uniq, new)]
-            if np.array_equal(hopped, new):
-                break
-            new = hopped
-        if np.array_equal(new, lab):
-            converged = True
-            break
-        lab = new
-    if not converged:
-        warnings.warn(
-            f"label propagation did not converge in {hard_cap} rounds; "
-            "some components may be split into multiple labels",
-            RuntimeWarning, stacklevel=2)
-    return uniq, lab
 
 
 def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
@@ -1491,9 +1340,9 @@ def similar_conversations(triples: rd.Dataset, tau: float = 0.5,
     (distinct normalized paths mentioned) have Jaccard >= tau —
     (conv_a, conv_b, jac) with conv_a < conv_b, jac rounded 4dp.
 
-    Exact all-pairs by contract (the bucket-pair self-join plan of
-    ops/similarity.embedding_neardup_pairs: each conversation's entity set
-    is replicated to its B pair-groups, per-task memory 2n/B sets); the
+    Exact all-pairs by contract (a bucket-pair self-join: each
+    conversation's entity set is replicated to its B pair-groups, per-task
+    memory 2n/B sets); the
     sublinear scale path is MinHash banding over the same sets (the
     ops/dedup machinery applies unchanged — entity sets are just shingle
     sets). Value-oracled: SQL reproduces the pair join with

@@ -10,7 +10,8 @@ stages share the same form). Each stage class is also the single-batch API:
 Every KG stage reads its records from one iterator, ``tool_records``: it
 masks the tool turns (user/assistant turns never leave Arrow), parses each
 turn's JSON once and fans the payload out into flat records, skipping text
-that does not parse. Every stage that emits triples fills one
+that does not parse or decodes to a lone surrogate, and records whose
+``artifact_type`` is not a string. Every stage that emits triples fills one
 ``TripleColumns``, which owns the lineage fan-out and the Arrow layout.
 
 Output schema (one per stage, whatever the batch holds):
@@ -24,6 +25,7 @@ dictionary-encoded.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 import pyarrow as pa
@@ -42,10 +44,32 @@ from ..kg.mapper import ArtifactMapper
 from ..kg.records import extract_records
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _has_surrogate(payload) -> bool:
+    """True when a key or string value of ``payload`` holds a lone surrogate
+    (a legal JSON escape such as ``"\\ud800"`` that UTF-8 cannot encode)."""
+    stack = [payload]
+    while stack:
+        o = stack.pop()
+        to = type(o)
+        if to is dict:
+            stack.extend(o)
+            stack.extend(o.values())
+        elif to is list:
+            stack.extend(o)
+        elif to is str and _SURROGATE.search(o):
+            return True
+    return False
+
+
 def tool_records(batch: pa.Table) -> Iterator[tuple[str, int, dict, "str | None"]]:
     """Yield ``(conv_id, turn_idx, record, artifact_type)`` for every record
-    of every non-empty tool turn of ``batch``, in batch order. Text that does
-    not parse (malformed, or nested past the parser's depth) is skipped."""
+    of every non-empty tool turn of ``batch``, in batch order. Skipped: text
+    that does not parse (malformed, or nested past the parser's depth), text
+    that decodes to a lone surrogate, and records whose ``artifact_type`` is
+    neither absent nor a string."""
     mask = pc.and_(pc.equal(batch.column("role"), "tool"),
                    pc.not_equal(batch.column("text"), ""))
     tool_turns = batch.filter(mask)
@@ -56,8 +80,13 @@ def tool_records(batch: pa.Table) -> Iterator[tuple[str, int, dict, "str | None"
             payload = loads_fast(text)
         except (ValueError, TypeError, RecursionError):
             continue
+        # a surrogate can only come from a \uXXXX escape in the text
+        if ("\\ud" in text or "\\uD" in text) and _has_surrogate(payload):
+            continue
         for record in extract_records(payload):
-            yield conv_id, turn_idx, record, record.get("artifact_type")
+            atype = record.get("artifact_type")
+            if atype is None or type(atype) is str:
+                yield conv_id, turn_idx, record, atype
 
 
 def turn_triples_fn(batch: pa.Table, stage: type | None = None) -> pa.Table:

@@ -100,7 +100,13 @@ def output_fingerprint(out_dir: str) -> tuple[int, str]:
 def main():
     shutil.rmtree("/tmp/cuomr_resume_demo", ignore_errors=True)
     if not os.path.exists(f"{INPUT}/_SUCCESS"):
-        raise SystemExit(f"input corpus missing: {INPUT} (run bench.py once)")
+        from case_uco_ontology_map_ray.sources.transcripts import (
+            synthesize_transcripts,
+        )
+
+        synthesize_transcripts(INPUT, num_conversations=20_000, mean_turns=12,
+                               conversations_per_block=200)
+        Path(f"{INPUT}/_SUCCESS").write_text("ok")
     n_files = len(list(Path(INPUT).glob("*.parquet")))
 
     interrupt = run_child(OUT_INT, kill_after=KILL_AFTER)

@@ -170,7 +170,7 @@ def test_propagate_labels_chain_converges_logarithmically():
     import pyarrow as pa
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.pipelines.linking import propagate_labels
+    from case_uco_ontology_map_ray.ops.dedup import propagate_labels
 
     n = 48  # chain pid_i -- band_i -- pid_{i+1}: diameter 47
     bands = list(range(n - 1)) + list(range(n - 1))

@@ -53,6 +53,31 @@ def test_custom_facet_definitions_aggregate():
     assert props["dfc-ext:temperature"]["dataType"] == "xsd:decimal"
 
 
+def test_facet_definition_groups_share_one_schema():
+    """An auto-mapped type's group (no facet row) and a dfc-ext type's group
+    (one facet row) produce blocks of the same schema."""
+    import pyarrow as pa
+
+    from case_uco_ontology_map_ray.pipelines.kg import _facet_definition
+
+    def group(atype, record):
+        fields = sorted(k for k in record if k != "artifact_type")
+        return pa.table({"artifact_type": [atype],
+                         "field_sig": [json.dumps(fields)],
+                         "sample": [json.dumps(record, sort_keys=True)]})
+
+    auto = _facet_definition(group("Browser URL history records", {
+        "artifact_type": "Browser URL history records",
+        "URL": "https://intranet.corp/a", "PageTitle": "A", "VisitCount": 3,
+        "FirstVisitTime": "2025-03-01T08:00:00Z",
+        "LastVisitTime": "2025-03-01T10:00:00Z", "BrowserName": "Chrome"}))
+    custom = _facet_definition(group("Widget Telemetry Dump", {
+        "artifact_type": "Widget Telemetry Dump", "widget_serial": "W-1",
+        "spin_rate": 12.5, "is_spinning": True}))
+    assert auto.num_rows == 0 and custom.num_rows == 1
+    assert auto.schema == custom.schema
+
+
 def test_relationship_triples_emitted_from_transcripts():
     """Live relationship path: prefetch records carry a Contained_Within
     ObservableRelationship slot (config.ONTOLOGY_MAPS propertyFieldMap ->

@@ -25,6 +25,14 @@ CUSTOM = {"artifact_type": "Widget Telemetry Dump", "widget_serial": "W-1",
           "spin_rate": 12.5, "is_spinning": True}
 DEEP = "[" * 900 + "1" + "]" * 900
 DEEPER = "[" * 5000 + "1" + "]" * 5000
+# a record VALUE nested 950 deep: it parses, so it maps like any other value
+DEEP_VALUE = ('{"artifact_type": "Widget Telemetry Dump", "widget_serial": '
+              + "[" * 950 + "1" + "]" * 950 + "}")
+# turns that parse but must be skipped: a non-string artifact_type, and a
+# lone surrogate escape (orjson rejects it, the stdlib fallback accepts it)
+HOSTILE_TURNS = [json.dumps({**CUSTOM, "artifact_type": t})
+                 for t in (5, ["x"], {"a": 1})] + [
+    json.dumps({**CUSTOM, "widget_serial": "a\ud800b"})]
 
 
 def _batch(rows):
@@ -109,9 +117,11 @@ def test_deeply_nested_turns_do_not_fail_a_job():
 
     base = conversations_table(range(4), 6).select(
         ["conv_id", "turn_idx", "role", "text"])
-    base = pa.concat_tables([base, _batch([("x", 0, "tool", json.dumps(CUSTOM))])])
-    hostile = pa.concat_tables([base, _batch([("h", 0, "tool", DEEP),
-                                              ("h", 1, "tool", DEEPER)])])
+    base = pa.concat_tables([base, _batch([("x", 0, "tool", json.dumps(CUSTOM)),
+                                           ("x", 1, "tool", DEEP_VALUE)])])
+    hostile = pa.concat_tables([base, _batch(
+        [("h", 0, "tool", DEEP), ("h", 1, "tool", DEEPER)]
+        + [("h", i, "tool", t) for i, t in enumerate(HOSTILE_TURNS, start=2)])])
     jobs = {
         "triples": kg.triples_from_transcripts,
         "validated": kg.validated_triples,
@@ -120,9 +130,14 @@ def test_deeply_nested_turns_do_not_fail_a_job():
         "dedup": kg.distinct_triples_by_record,
     }
     for name, job in jobs.items():
-        want = _rows(job(rd.from_arrow(base)).to_pandas())
+        want_df = job(rd.from_arrow(base)).to_pandas()
+        want = _rows(want_df)
         got = _rows(job(rd.from_arrow(hostile)).to_pandas())
         assert got == want and want, name
+        if {"conv_id", "turn_idx"} <= set(want_df.columns):
+            # the record with the 950-deep value went through the stage
+            assert ((want_df.conv_id.astype(str) == "x")
+                    & (want_df.turn_idx == 1)).any(), name
     want = _rows(kg.custom_facet_definitions(rd.from_arrow(base)))
     assert _rows(kg.custom_facet_definitions(rd.from_arrow(hostile))) == want
     assert want

@@ -53,17 +53,16 @@ def test_new_ops_handle_empty_inputs():
     import pyarrow as pa
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.ops.multimodal import (
-        frame_sample, synth_video_table)
-    from case_uco_ontology_map_ray.ops.text import repetition_stats
+    from case_uco_ontology_map_ray.ops.text import redact_pii, repetition_stats
     from case_uco_ontology_map_ray.pipelines.jsonld import merge_jsonld_patches
 
     empty_docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                          "text": pa.array([], pa.string())}))
     assert repetition_stats(empty_docs).count() == 0
 
-    assert frame_sample(rd.from_arrow(synth_video_table(0)),
-                        concurrency=1).count() == 0
+    empty_turns = rd.from_arrow(pa.table({"conv_id": pa.array([], pa.string()),
+                                          "text": pa.array([], pa.string())}))
+    assert redact_pii(empty_turns).count() == 0
 
     skel = rd.from_items([{"record_fp": "a", "jsonld": '{"@graph": []}'}])
     no_patches = rd.from_arrow(pa.table({"record_fp": pa.array([], pa.string()),
