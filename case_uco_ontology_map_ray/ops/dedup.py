@@ -10,9 +10,8 @@
                    docs within hamming ``radius`` of the bucket root, then
                    min-label propagation -> Dataset[(doc_id, group_id)]
 - ngram_jaccard_pairs: candidate pairs with exact n-gram Jaccard >= tau
-- propagate_labels / _labels_vectorized: the distributed and the numpy
-                   min-label propagation rounds under every connected
-                   components result in the package.
+- _propagate_components: connected components over verified edges, on
+                   the two label-propagation kernels of ``ops/graph``.
 
 Scale design (no driver-side corpus state anywhere):
 - Sketching runs as stateless tasks (the hash family is built once per
@@ -26,8 +25,10 @@ Scale design (no driver-side corpus state anywhere):
 - Connected components run as min-label propagation over the star-edge
   incidence: below ``small_threshold`` distinct docs the (int64, int64)
   edge list is solved with vectorized numpy on the driver + a broadcast
-  non-singleton label map; above it the fully distributed
-  ``propagate_labels`` groupby/bucket_join rounds take over. Both compute the same fixpoint (component min-label).
+  non-singleton label map; above it the distributed groupby/bucket_join
+  rounds take over (``ops/graph``'s ``_labels_vectorized`` and
+  ``propagate_labels``). Both compute the same fixpoint (component
+  min-label).
 
 Outputs pinned by regression goldens (tests/goldens/dedup/*, regenerated in
 round 3 when the shingle/band hash family intentionally moved from per-string
@@ -43,7 +44,6 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray.data as rd
 
 from ..functions.hashing import (
     MinHasher,
@@ -53,10 +53,11 @@ from ..functions.hashing import (
 )
 from ..functions.process_cache import process_stage
 from .agg import round_away
+from .graph import _labels_vectorized, propagate_labels
 from .joins import _est_memory_bytes, _mix_bucket, bucket_join, bucket_semi_join
 
 # Non-singleton label maps are broadcast on the small path; switch to the
-# distributed propagate_labels rounds above this many linked docs.
+# distributed label-propagation rounds above this many linked docs.
 SMALL_THRESHOLD = 5_000_000
 
 # Verify path: below this many candidate ENDPOINTS their shingle sets are
@@ -291,6 +292,45 @@ def _csr_gather(vals: np.ndarray, starts: np.ndarray,
     return vals[idx], lens
 
 
+def _sorted_csr(ids: np.ndarray, lens: np.ndarray, vals: np.ndarray):
+    """CSR rows (ids, per-row lengths, concatenated values) reordered by
+    sorted id for searchsorted lookup -> (sorted_ids, starts, values). A
+    duplicated id would make searchsorted verify every edge against the
+    FIRST copy's shingles silently, so it is rejected here, where the sorted
+    id array is cheap to scan."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if len(sorted_ids) > 1 and (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise ValueError(
+            "verify payload contains duplicate doc_ids; shingle sets "
+            "must be unique per document")
+    starts = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lens, out=starts[1:])
+    sorted_vals, sorted_lens = _csr_gather(vals, starts, order)
+    sorted_starts = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(sorted_lens, out=sorted_starts[1:])
+    return sorted_ids, sorted_starts, sorted_vals
+
+
+def _star_candidates(band: np.ndarray, doc: np.ndarray, max_bucket: int):
+    """Distinct star candidate edges (u, v) of a collected (band, doc_id)
+    stream: one global (band, doc_id) sort — buckets hold whole bands, so
+    it equals the per-bucket sort of the distributed path — then
+    ``_star_edges_np`` and a sorted distinct."""
+    order = np.lexsort((doc, band))
+    band, doc = band[order], doc[order]
+    seg = np.zeros(len(band), dtype=np.int64)
+    if len(band):
+        seg[1:] = np.cumsum(band[1:] != band[:-1])
+    u, v = _star_edges_np(doc, seg, max_bucket)
+    if len(u):
+        eorder = np.lexsort((v, u))
+        u, v = u[eorder], v[eorder]
+        m = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
+        u, v = u[m], v[m]
+    return u, v
+
+
 def _pair_jaccard(vu: np.ndarray, lu: np.ndarray,
                   vv: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """Exact Jaccard per candidate edge, vectorized over the whole batch.
@@ -380,30 +420,10 @@ def _verify_jaccard(edges, payload, tau: float, emit_jac: bool = False):
             offs.append(lens)
             vals.append(col.values.to_numpy(zero_copy_only=False)
                         .astype(np.uint64))
-        cids = np.concatenate(cids)
         lens = np.concatenate(offs[1:]) if len(offs) > 1 else np.array([], dtype=np.int64)
         vals = (np.concatenate(vals) if vals
                 else np.array([], dtype=np.uint64))
-        order = np.argsort(cids, kind="stable")
-        # a duplicated doc_id in the payload would make searchsorted verify
-        # every edge against the FIRST copy's shingles silently — detect it
-        # here, where the sorted id array is cheap to scan
-        if len(cids) > 1 and (cids[order][1:] == cids[order][:-1]).any():
-            raise ValueError(
-                "verify payload contains duplicate doc_ids; shingle sets "
-                "must be unique per document")
-        # reorder CSR rows by sorted doc_id for searchsorted lookup —
-        # vectorized row gather: position-within-output + source row start
-        starts = np.zeros(len(cids) + 1, dtype=np.int64)
-        np.cumsum(lens, out=starts[1:])
-        sel_lens = lens[order]
-        sorted_starts = np.zeros(len(cids) + 1, dtype=np.int64)
-        np.cumsum(sel_lens, out=sorted_starts[1:])
-        total = int(sorted_starts[-1])
-        gather = (np.arange(total, dtype=np.int64)
-                  - np.repeat(sorted_starts[:-1], sel_lens)
-                  + np.repeat(starts[:-1][order], sel_lens))
-        ref = ray.put((cids[order], sorted_starts, vals[gather]))
+        ref = ray.put(_sorted_csr(np.concatenate(cids), lens, vals))
 
         def verify_edges(t: pa.Table) -> pa.Table:
             csr_ids, csr_starts, csr_vals = ray.get(ref)
@@ -471,167 +491,15 @@ def _verify_jaccard(edges, payload, tau: float, emit_jac: bool = False):
     return both.map_batches(verify, batch_format="pandas")
 
 
-def _grouped_min(ds: rd.Dataset, key: str, val: str, out_name: str) -> rd.Dataset:
-    """groupby(key).min(val) with a local arrow combiner before the shuffle."""
-    from ray.data.aggregate import Min
-
-    def local(t: pa.Table) -> pa.Table:
-        agg = t.select([key, val]).group_by([key]).aggregate([(val, "min")])
-        return agg.rename_columns([key, val])
-
-    pre = ds.map_batches(local, batch_format="pyarrow")
-    out = pre.groupby(key).aggregate(Min(val, alias_name=out_name))
-    return out
-
-
-def propagate_labels(incidence: rd.Dataset, labels: rd.Dataset,
-                     max_rounds: int = 5, num_buckets: int = 32):
-    """Min-label propagation rounds over the bipartite (band, pid) graph.
-
-    Each round: label(pid) <- min over { label(q) : q shares a band with pid }
-    expressed as two bucket_joins + two grouped mins — iterative
-    groupby-aggregate union-find (north_rule) — followed by one POINTER-JUMP
-    step (label <- label(label), a labels-with-labels bucket_join): path
-    compression halves chain depth per round, so convergence on long
-    near-dup chains is O(log diameter) rounds instead of O(diameter), at
-    one extra join per round. Real corpora hit this: a 360k-path bench
-    slice chains 99.99% of its paths into ONE component (see
-    ROUND5_NOTES.md). The fixpoint is unchanged — component min is
-    idempotent under compression (pinned by the small==distributed
-    equivalence tests). ``max_rounds`` is a soft target (same semantics as
-    ``_labels_vectorized``): a component needing more rounds would silently
-    split, so the loop keeps going past it up to a hard cap — each extra
-    round only runs when the checksum shows labels still moving.
-
-    Returns (labels Dataset[(pid, label)], rounds_run, converged).
-    """
-    labels = labels.materialize()
-    # Block-count cap: every round unions the label table with a join output
-    # whose groupby emits one block per bucket, so without a coalesce the
-    # label lineage GROWS by O(num_buckets) blocks per round (measured: 767
-    # blocks after 8 rounds on a 214-row table, making each round's sort pay
-    # ~50 ms/block of pure scheduling = minutes on tiny data). Repartition
-    # back to a constant block count before each materialize — sized from
-    # the initial label table so big inputs keep their parallelism.
-    target_blocks = max(num_buckets, labels.num_blocks())
-    prev_sum = _label_checksum(labels)
-    hard_cap = max(max_rounds, 4 * max_rounds + 64)
-    for rnd in range(hard_cap):
-        # label(band) = min label of its members (join + grouped min)
-        lab_inc = bucket_join(incidence, labels, on="pid", num_buckets=num_buckets)
-        bucket_min = _grouped_min(lab_inc, "band", "label", "bmin").materialize()
-        # label(pid) = min(own label, min over its bands)
-        back = bucket_join(incidence, bucket_min, on="band", num_buckets=num_buckets)
-        cand = back.map_batches(
-            lambda t: t.select(["pid", "bmin"]).rename_columns(["pid", "label"]),
-            batch_format="pyarrow",
-        )
-        # materialize: the label table is small (one row per distinct path);
-        # without this every round would lazily re-execute all prior rounds
-        labels = _grouped_min(labels.union(cand), "pid", "label", "label")
-        labels = labels.repartition(target_blocks).materialize()
-
-        # pointer jump: label <- label(label). Every label VALUE is a pid
-        # with its own labels row (labels start as pid->pid and only take
-        # mins of other labels), so joining the label table onto itself on
-        # label==pid hops each node to its label's label in one pass.
-        lhs = labels.map_batches(
-            lambda t: t.rename_columns(["pid", "__k"]), batch_format="pyarrow")
-        rhs = labels.map_batches(
-            lambda t: t.rename_columns(["__k", "label"]), batch_format="pyarrow")
-        hop = bucket_join(lhs, rhs, on="__k", num_buckets=num_buckets).map_batches(
-            lambda t: t.select(["pid", "label"]), batch_format="pyarrow")
-        labels = _grouped_min(labels.union(hop), "pid", "label", "label")
-        labels = labels.repartition(target_blocks).materialize()
-
-        # convergence: labels only decrease, so the (wraparound) checksum is
-        # unchanged iff no label changed this round — no extra join needed
-        cur = _label_checksum(labels)
-        if cur == prev_sum:
-            return labels, rnd + 1, True
-        prev_sum = cur
-    return labels, hard_cap, False
-
-
-def _label_checksum(labels: rd.Dataset) -> int:
-    """Deterministic wraparound sum of the label column (distributed partial
-    sums, merged on the driver)."""
-
-    def part(t: pa.Table) -> pa.Table:
-        arr = t.column("label").to_numpy(zero_copy_only=False).view(np.uint64)
-        return pa.table({"s": pa.array([int(arr.sum(dtype=np.uint64))], pa.uint64())})
-
-    parts = labels.map_batches(part, batch_format="pyarrow").to_pandas()
-    return int(parts["s"].to_numpy(dtype=np.uint64).sum(dtype=np.uint64))
-
-
-def _labels_vectorized(band: np.ndarray, pid: np.ndarray,
-                       max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min-label propagation over (band, pid) incidence, fully vectorized.
-
-    Same fixpoint as ``propagate_labels`` (min is order-independent), but as
-    numpy segment-mins — used when the distinct-path set fits one node
-    (labels are 16 bytes/path: 10^8 paths ≈ 1.6 GB, far under a worker
-    heap). Returns (unique_pids, final_labels).
-
-    ``max_rounds`` is a soft target: a component whose diameter exceeds
-    ~2*max_rounds hops would silently split into several labels, so when the
-    cap is hit without reaching the fixpoint the loop KEEPS ITERATING (each
-    in-memory round is two reduceats — cheap) up to a hard bound, warning if
-    even that is exceeded.
-    """
-    import warnings
-
-    order = np.argsort(band, kind="stable")
-    b_sorted = band[order]
-    seg_starts = np.flatnonzero(np.r_[True, b_sorted[1:] != b_sorted[:-1]])
-    seg_lengths = np.diff(np.r_[seg_starts, len(b_sorted)])
-
-    uniq, inv = np.unique(pid, return_inverse=True)
-    inv_sorted = inv[order]
-    lab = uniq.copy()
-    hard_cap = max(max_rounds, 4 * max_rounds + 64)
-    converged = False
-    for _ in range(hard_cap):
-        row_lab = lab[inv_sorted]
-        bmin = np.minimum.reduceat(row_lab, seg_starts)
-        bmin_rows = np.repeat(bmin, seg_lengths)
-        new = lab.copy()
-        np.minimum.at(new, inv_sorted, bmin_rows)
-        # pointer jumping (path compression): every label VALUE is a pid
-        # present in uniq (labels start as uniq and only take mins of other
-        # labels), so new[index_of(new)] hops each node to its label's
-        # label — halving chain depth per inner pass. Turns convergence on
-        # long near-dup chains from O(diameter) outer rounds into
-        # O(log diameter) total (measured 2.6x on a 360k-path component
-        # whose members chain through shared shingles); the FIXPOINT is
-        # unchanged — component min is idempotent under compression.
-        while True:
-            hopped = new[np.searchsorted(uniq, new)]
-            if np.array_equal(hopped, new):
-                break
-            new = hopped
-        if np.array_equal(new, lab):
-            converged = True
-            break
-        lab = new
-    if not converged:
-        warnings.warn(
-            f"label propagation did not converge in {hard_cap} rounds; "
-            "some components may be split into multiple labels",
-            RuntimeWarning, stacklevel=2)
-    return uniq, lab
-
-
 def _propagate_components(edges, all_ids, out_col: str,
                           small_threshold: int = SMALL_THRESHOLD,
                           max_rounds: int = 8):
     """Connected components over undirected (u, v) edges: every doc gets the
     min doc_id of its component; docs in no edge stay singletons.
 
-    Returns Dataset[(doc_id, out_col)]. Adaptive: numpy + broadcast label map
-    below ``small_threshold`` linked docs, else the distributed
-    ``propagate_labels`` rounds.
+    Returns Dataset[(doc_id, out_col)]. Adaptive: ``_labels_vectorized`` on
+    the collected edges + a broadcast label map below ``small_threshold``
+    linked docs, else ``propagate_labels`` on the Dataset incidence.
     """
     import ray
 
@@ -669,7 +537,7 @@ def _propagate_components(edges, all_ids, out_col: str,
 
     if n_edges <= small_threshold:
         inc = incidence.to_pandas()
-        uniq, lab = _labels_vectorized(
+        uniq, lab, _ = _labels_vectorized(
             inc["band"].to_numpy(dtype=np.int64),
             inc["pid"].to_numpy(dtype=np.int64), max_rounds)
         nontrivial = (uniq != lab)
@@ -698,16 +566,7 @@ def _propagate_components(edges, all_ids, out_col: str,
                             "label": t.column("doc_id")}),
         batch_format="pyarrow",
     )
-    labels, _rounds, _conv = propagate_labels(incidence, labels,
-                                              max_rounds=max_rounds)
-    if not _conv:
-        import warnings
-
-        warnings.warn(
-            f"distributed label propagation hit max_rounds={max_rounds} "
-            "without converging; components wider than ~2*max_rounds hops "
-            "may be split — raise max_rounds for deep duplicate chains",
-            RuntimeWarning, stacklevel=2)
+    labels, _ = propagate_labels(incidence, labels, max_rounds=max_rounds)
     # labels was initialized from all_ids, so every doc has a label row
     joined = bucket_join(
         all_ids.map_batches(lambda t: t.rename_columns(["pid"]),
@@ -744,41 +603,15 @@ def _minhash_driver_small(sketched, mh: "MinHasher", bands: int, tau: float,
     # candidates: same band keys + per-band star edges as the small band
     # path (global lexsort == per-bucket sort, buckets contain whole bands)
     sigs = _sig_matrix(t.column("sig"), mh.num_perm)
-    band = mh.band_keys_batch(sigs, bands).ravel()
-    doc = np.repeat(ids, bands)
-    order = np.lexsort((doc, band))
-    band, doc = band[order], doc[order]
-    seg = np.zeros(len(band), dtype=np.int64)
-    if len(band):
-        seg[1:] = np.cumsum(band[1:] != band[:-1])
-    u, v = _star_edges_np(doc, seg, max_bucket)
-    if len(u):
-        eorder = np.lexsort((v, u))
-        u, v = u[eorder], v[eorder]
-        m = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
-        u, v = u[m], v[m]
+    u, v = _star_candidates(mh.band_keys_batch(sigs, bands).ravel(),
+                            np.repeat(ids, bands), max_bucket)
 
     # exact-Jaccard verify against the in-memory shingle CSR (the same
-    # reorder-by-sorted-id + _csr_gather + _pair_jaccard as _verify_jaccard)
+    # _sorted_csr + _csr_gather + _pair_jaccard as _verify_jaccard)
     col = t.column("shingles").combine_chunks()
-    lens = np.diff(col.offsets.to_numpy(zero_copy_only=False))
-    vals = col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
-    iorder = np.argsort(ids, kind="stable")
-    sorted_ids = ids[iorder]
-    if len(sorted_ids) > 1 and (sorted_ids[1:] == sorted_ids[:-1]).any():
-        raise ValueError(
-            "verify payload contains duplicate doc_ids; shingle sets "
-            "must be unique per document")
-    starts = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    sel_lens = lens[iorder]
-    sorted_starts = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(sel_lens, out=sorted_starts[1:])
-    total = int(sorted_starts[-1])
-    gather = (np.arange(total, dtype=np.int64)
-              - np.repeat(sorted_starts[:-1], sel_lens)
-              + np.repeat(starts[:-1][iorder], sel_lens))
-    csr_vals = vals[gather]
+    sorted_ids, sorted_starts, csr_vals = _sorted_csr(
+        ids, np.diff(col.offsets.to_numpy(zero_copy_only=False)),
+        col.values.to_numpy(zero_copy_only=False).astype(np.uint64))
     if len(u):
         iu = np.searchsorted(sorted_ids, u)
         iv = np.searchsorted(sorted_ids, v)
@@ -792,7 +625,7 @@ def _minhash_driver_small(sketched, mh: "MinHasher", bands: int, tau: float,
     # (edge (u, v) -> group u contains {u, v}), min-label fixpoint
     labels = ids.copy()
     if len(u):
-        upids, ulabs = _labels_vectorized(
+        upids, ulabs, _ = _labels_vectorized(
             np.concatenate([u, u]), np.concatenate([u, v]), max_rounds)
         pos = np.searchsorted(upids, ids)
         pos_c = np.minimum(pos, len(upids) - 1)
@@ -872,17 +705,7 @@ def minhash_lsh_dedup(
         doc = (np.concatenate([c.column("doc_id").to_numpy(zero_copy_only=False)
                                for c in chunks])
                if chunks else np.array([], dtype=np.int64))
-        order = np.lexsort((doc, band))
-        band, doc = band[order], doc[order]
-        seg = np.zeros(len(band), dtype=np.int64)
-        if len(band):
-            seg[1:] = np.cumsum(band[1:] != band[:-1])
-        u, v = _star_edges_np(doc, seg, max_bucket)
-        if len(u):
-            eorder = np.lexsort((v, u))
-            u, v = u[eorder], v[eorder]
-            m = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
-            u, v = u[m], v[m]
+        u, v = _star_candidates(band, doc, max_bucket)
         edges = ray.data.from_arrow(pa.table({"u": pa.array(u, pa.int64()),
                                               "v": pa.array(v, pa.int64())}))
     else:

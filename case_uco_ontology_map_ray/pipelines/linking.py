@@ -1,4 +1,5 @@
-"""Entity linking + canonicalization over the triple stream.
+"""Entity linking + canonicalization over the triple stream, and the
+co-mention graph analytics over the linked entities.
 
 The reference resolves identity only within one payload (deterministic uuid5
 per record). At transcript scale the same real-world entity (a file path)
@@ -25,9 +26,27 @@ Pipeline:
 
 Exact-duplicate paths canonicalize identically by construction (same pid);
 assignment is independent of block arrival order (min is commutative).
+
+Co-mention graph core: every graph query starts from one graph object
+built over the mention stream and the (conversation, pid) incidence, each
+materialized once. PageRank and its weighted and personalized forms,
+components, modularity, component stats, BFS, k-core, Adamic-Adar,
+triangles and the degree histogram take it from ``comention_graph``, the
+one size gate: it reads the incidence size once against
+``SMALL_GRAPH_INCIDENCE`` and returns numpy arrays (``ArrayGraph``) at or
+below it, Datasets (``DatasetGraph``) above it. Assortativity and the top
+pairs have only a Dataset body and always take a ``DatasetGraph``. Both
+graph forms build their edges on first use, with the capped
+clique-expansion edge builders of ``ops/graph`` (``MAX_CONV_ENTITIES`` pids
+per conversation); components run ``ops/graph``'s label-propagation kernel
+of the graph's side, PageRank its power-iteration kernel. Tests force the
+Dataset side by patching ``SMALL_GRAPH_INCIDENCE`` to 0.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -38,9 +57,16 @@ import ray.data as rd
 from ..config import NS_ENTITY
 from ..functions.fingerprint import uuid5_str
 from ..functions.hashing import content_hash64_arrow
-from ..ops.agg import plain_strings
-from ..ops.dedup import _labels_vectorized, propagate_labels
-from ..ops.joins import bucket_join
+from ..ops.agg import grouped_sums, grouped_sums_ds, plain_strings, round_away, topk_ds
+from ..ops.graph import (
+    clique_edges_ds,
+    clique_edges_np,
+    _labels_vectorized,
+    pagerank_ds,
+    pagerank_np,
+    propagate_labels,
+)
+from ..ops.joins import bucket_join, bucket_semi_join
 
 # Triple predicates whose objects are file-path mentions.
 PATH_PREDS = (
@@ -133,6 +159,15 @@ def distinct_paths(mentions: rd.Dataset, num_parts: int = 64) -> rd.Dataset:
     return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
 
 
+def _canonical_ids(paths: pd.Series) -> np.ndarray:
+    """``kb:entity-<uuid5(NS_ENTITY, path)>`` per row, one uuid5 call per
+    distinct canonical path."""
+    codes, uniq = pd.factorize(paths)
+    ids = np.array([f"kb:entity-{uuid5_str(NS_ENTITY, p)}" for p in uniq],
+                   dtype=object)
+    return ids[codes]
+
+
 def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
                        max_rounds: int = 5,
                        small_threshold: int = 20_000_000,
@@ -217,9 +252,7 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
         sorted_pids = pid_arr[order]
         paths_sorted = pdf["norm_path"].to_numpy()[order]
         pdf["canonical_path"] = paths_sorted[np.searchsorted(sorted_pids, label)]
-        pdf["canonical_id"] = [
-            f"kb:entity-{uuid5_str(NS_ENTITY, p)}" for p in pdf["canonical_path"]
-        ]
+        pdf["canonical_id"] = _canonical_ids(pdf["canonical_path"])
         entity = rd.from_pandas(pdf)
         # broadcast lookup in sorted-array form: pid -> canonical_id via
         # np.searchsorted + one Arrow take per batch (no per-row dict.get)
@@ -265,9 +298,7 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
 
     def add_canonical_id(t: pd.DataFrame) -> pd.DataFrame:
         t = t.copy()
-        t["canonical_id"] = [
-            f"kb:entity-{uuid5_str(NS_ENTITY, p)}" for p in t["canonical_path"]
-        ]
+        t["canonical_id"] = _canonical_ids(t["canonical_path"])
         return t
 
     entity = bucket_join(paths, canon, on="pid").map_batches(
@@ -342,11 +373,17 @@ def conversation_entity_stats(triples: rd.Dataset, salt_k: int = 8) -> pd.DataFr
     return out.sort_values("conv_id").reset_index(drop=True)
 
 
-# Driver-side bound for the adaptive graph-analytics paths: a collected
-# (band, pid) incidence is 16 B/row -> 20M rows ~ 320 MB, the same bound the
-# dedup components small path documents. Past it, the distributed forms
-# (bucket_join rounds / propagate_labels) take over with identical results
-# (pinned by the small==distributed equivalence tests).
+# ---- the co-mention graph core ---------------------------------------------
+# Entities (pids) are the nodes; two entities share an edge when one
+# conversation mentions both, weighted by the number of such conversations.
+# ``comention_graph`` builds the graph once per query, and every graph query
+# of this module runs its algorithm on what it returns.
+
+# Driver-side bound of the graph core: a collected (band, pid) incidence is
+# 16 B/row -> 20M rows ~ 320 MB. At or below it the graph is collected into
+# numpy arrays (``ArrayGraph``); above it every graph query runs on Datasets
+# (``DatasetGraph``) with identical results. Read at call time, so a test
+# forces the Dataset side by patching it to 0.
 SMALL_GRAPH_INCIDENCE = 20_000_000
 
 
@@ -377,99 +414,159 @@ def _collect_incidence(incidence: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
     return key[:, 0], key[:, 1]
 
 
-def _edges_from_incidence(band: np.ndarray, pid: np.ndarray,
-                          max_conv_entities: int = 4096):
-    """Distinct directed co-mention edges (both directions) from collected
-    incidence, plus (nodes, deg) on the compacted id space. Returns
-    (nodes, deg, s_idx, t_idx) with s_idx/t_idx indexing ``nodes``."""
-    order = np.lexsort((pid, band))
-    band, pid = band[order], pid[order]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(band)) + 1, [len(band)]))
-    srcs, dsts = [], []
-    for i in range(len(bounds) - 1):
-        ids = pid[bounds[i]:bounds[i + 1]][:max_conv_entities]
-        kk = len(ids)
-        if kk < 2:
-            continue
-        iu, ju = np.triu_indices(kk, 1)
-        srcs.append(ids[iu]); dsts.append(ids[ju])
-    if not srcs:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.empty(0, np.int64))
-    a = np.concatenate(srcs); b = np.concatenate(dsts)
-    e = np.unique(np.stack([np.concatenate([a, b]),
-                            np.concatenate([b, a])], axis=1), axis=0)
-    nodes = np.unique(e[:, 0])
-    s_idx = np.searchsorted(nodes, e[:, 0])
-    t_idx = np.searchsorted(nodes, e[:, 1])
-    deg = np.bincount(s_idx, minlength=len(nodes)).astype(np.int64)
-    return nodes, deg, s_idx, t_idx
+@dataclass
+class ArrayGraph:
+    """The co-mention graph collected on the driver.
+
+    ``band``/``pid``: the distinct (conversation hash, pid) incidence, so
+    every mentioned path. Built on first use: ``nodes``, the sorted pids
+    with at least one edge; ``s``/``t``, the directed edges (both
+    directions) as indices into ``nodes``; ``w``, the conversations sharing
+    each pair; ``deg`` and ``strength``, each node's edge count and weight
+    sum; and the pid -> path lookup of ``paths``."""
+
+    mentions: rd.Dataset
+    band: np.ndarray
+    pid: np.ndarray
+
+    @functools.cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        return clique_edges_np(self.band, self.pid)
+
+    nodes = property(lambda self: self._edges[0])
+    s = property(lambda self: self._edges[1])
+    t = property(lambda self: self._edges[2])
+    w = property(lambda self: self._edges[3])
+
+    @functools.cached_property
+    def deg(self) -> np.ndarray:
+        return np.bincount(self.s, minlength=len(self.nodes))
+
+    @functools.cached_property
+    def strength(self) -> np.ndarray:
+        return np.bincount(self.s, weights=self.w, minlength=len(self.nodes))
+
+    @functools.cached_property
+    def _path_index(self) -> tuple[np.ndarray, np.ndarray]:
+        p = distinct_paths(self.mentions).to_pandas()
+        if "pid" not in p.columns:  # fully-empty lineage lost the schema
+            return np.empty(0, np.int64), np.empty(0, object)
+        p = p.sort_values("pid")
+        return p["pid"].to_numpy(np.int64), p["norm_path"].to_numpy()
+
+    def paths(self, pids: np.ndarray) -> np.ndarray:
+        """The normalized path of each pid."""
+        keys, vals = self._path_index
+        return vals[np.searchsorted(keys, pids)]
 
 
-def comention_graph(triples: rd.Dataset, num_parts: int = 64,
-                    max_conv_entities: int = 4096, mentions=None):
-    """Symmetric co-mention edge list over canonical path entities:
-    Dataset[(s, t)] of DISTINCT directed pairs (both directions present)
-    where s and t are pid keys of paths mentioned in the same conversation,
-    plus Dataset[(node, deg)] out-degrees.
+@dataclass
+class DatasetGraph:
+    """The co-mention graph as Datasets: ``incidence`` (band, pid), and,
+    each built and materialized on first use, ``edges`` (s, t, w), ``deg``
+    (node, deg, strength) and ``paths`` (pid, norm_path) of every mentioned
+    path."""
 
-    Shape: distinct (conv_id, pid) via a per-batch combiner, one shuffle on
-    conv_id, per-conversation pair fan-out (bounded: a conversation
-    contributes C(k,2) pairs — ``max_conv_entities`` caps pathological
-    conversations, dropped pairs are logged in the 100-TB deployment;
-    the synthetic corpus never hits it), then a pid-bucketed global pair
-    dedup (equal s co-locate, so per-partition distinct is exact).
+    mentions: rd.Dataset
+    incidence: rd.Dataset
 
-    Pass ``mentions`` to reuse an already-materialized mention stream
-    instead of re-deriving it from the triples.
-    """
-    if mentions is None:
-        mentions = mentions_from_triples(triples)
+    @functools.cached_property
+    def edges(self) -> rd.Dataset:
+        return clique_edges_ds(self.incidence)
 
-    def local(t: pa.Table) -> pa.Table:
-        return (t.select(["conv_id", "pid"])
-                .group_by(["conv_id", "pid"]).aggregate([]))
+    @functools.cached_property
+    def deg(self) -> rd.Dataset:
+        return grouped_sums_ds(
+            self.edges, keys=["s"], sum_cols={"strength": "w"},
+            count_alias="deg").map_batches(
+            lambda t: pa.table({"node": t.column("s"), "deg": t.column("deg"),
+                                "strength": t.column("strength")}),
+            batch_format="pyarrow").materialize()
 
-    pre = mentions.map_batches(local, batch_format="pyarrow")
+    @functools.cached_property
+    def paths(self) -> rd.Dataset:
+        return distinct_paths(self.mentions).materialize()
 
-    def pairs(g: pa.Table) -> pa.Table:
-        ids = np.unique(g.column("pid").to_numpy(zero_copy_only=False))
-        k = min(len(ids), max_conv_entities)
-        if k < 2:
-            return pa.table({"s": pa.array([], pa.int64()),
-                             "t": pa.array([], pa.int64())})
-        ids = ids[:k]
-        iu, ju = np.triu_indices(k, 1)
-        a, b = ids[iu], ids[ju]
-        return pa.table({"s": pa.array(np.concatenate([a, b]), pa.int64()),
-                         "t": pa.array(np.concatenate([b, a]), pa.int64())})
 
-    raw = pre.groupby("conv_id").map_groups(pairs, batch_format="pyarrow")
+def _graph_inputs(triples: rd.Dataset) -> tuple[rd.Dataset, rd.Dataset]:
+    """The mention stream and its (conversation, pid) incidence, each
+    materialized once."""
+    mentions = mentions_from_triples(triples).materialize()
+    return mentions, _conv_pid_incidence(mentions).materialize()
 
-    def part(t: pa.Table) -> pa.Table:
-        d = t.group_by(["s", "t"]).aggregate([])
-        b = pc.bit_wise_and(d.column("s"), pa.scalar(num_parts - 1, pa.int64()))
-        return d.append_column("__part", b.cast(pa.int32()))
 
-    def finish(g: pa.Table) -> pa.Table:
-        return g.drop_columns(["__part"]).group_by(["s", "t"]).aggregate([])
+def comention_graph(triples: rd.Dataset) -> ArrayGraph | DatasetGraph:
+    """The one size gate of the graph queries: an ``ArrayGraph`` when the
+    incidence has at most ``SMALL_GRAPH_INCIDENCE`` rows, a
+    ``DatasetGraph`` otherwise. Either builds its edges on first use, with
+    the capped clique-expansion edge builder of ``ops/graph``
+    (``MAX_CONV_ENTITIES`` pids per conversation), so a query that only
+    needs the incidence never pays for the pairs."""
+    mentions, incidence = _graph_inputs(triples)
+    if incidence.count() <= SMALL_GRAPH_INCIDENCE:
+        return ArrayGraph(mentions, *_collect_incidence(incidence))
+    return DatasetGraph(mentions, incidence)
 
-    edges = (raw.map_batches(part, batch_format="pyarrow")
-             .groupby("__part").map_groups(finish, batch_format="pyarrow"))
-    edges = edges.materialize()  # reused every PageRank iteration
 
-    from ..ops.agg import grouped_sums_ds
+def _node_paths(g: DatasetGraph, key: str = "node",
+                col: str = "path") -> rd.Dataset:
+    """The graph's (pid, norm_path) table renamed to (key, col) for a join."""
+    return g.paths.map_batches(lambda t: t.rename_columns([key, col]),
+                               batch_format="pyarrow")
 
-    deg = grouped_sums_ds(edges, keys=["s"], sum_cols={}, count_alias="deg")
-    deg = deg.map_batches(lambda t: t.rename_columns(["node", "deg"]),
-                          batch_format="pyarrow")
-    return edges, deg
+
+def _seed_pid(g: DatasetGraph) -> int | None:
+    """The pid of the smallest normalized path among edge endpoints: the
+    deterministic source of BFS and personalized PageRank (isolated paths
+    can never seed a traversal). None on an edgeless graph."""
+    named = bucket_join(g.deg.select_columns(["node"]), _node_paths(g),
+                        on="node")
+    top = topk_ds(named, by=["path"], ascending=[True], k=1,
+                  columns=["node", "path"])
+    return None if top.empty else int(top["node"].iloc[0])
+
+
+def _ranked(g: ArrayGraph | DatasetGraph, iters: int, d: float, k: int,
+            weighted: bool, personalized: bool) -> pd.DataFrame:
+    """The three PageRank queries over the one power-iteration kernel of
+    each side: top-k (path, degree | strength, rank_norm | ppr) by
+    (rank DESC, path ASC)."""
+    size = "strength" if weighted else "degree"
+    rank = "ppr" if personalized else "rank_norm"
+    empty = pd.DataFrame({"path": pd.Series(dtype="str"),
+                          size: pd.Series(dtype="int64"),
+                          rank: pd.Series(dtype="float64")})
+    if isinstance(g, ArrayGraph):
+        if len(g.nodes) == 0:
+            return empty
+        paths = g.paths(g.nodes)
+        w, norm = (g.w, g.strength) if weighted else (np.ones(len(g.s)), g.deg)
+        restart = np.ones(len(g.nodes))
+        if personalized:
+            restart = np.zeros(len(g.nodes))
+            restart[int(np.argmin(paths))] = 1.0
+        out = pd.DataFrame({
+            "path": paths, size: norm.astype(np.int64),
+            rank: pagerank_np(g.s, g.t, w, norm, iters, d, restart)})
+    else:
+        if g.deg.count() == 0:
+            return empty
+        seed = _seed_pid(g) if personalized else None
+        ranks = pagerank_ds(g.edges, g.deg, iters, d, weighted, seed)
+        named = bucket_join(bucket_join(ranks, g.deg, on="node"),
+                            _node_paths(g), on="node")
+        out = topk_ds(named, by=["rank", "path"], ascending=[False, True],
+                      k=k, columns=["node", "rank", "deg", "strength", "path"])
+        if out.empty:
+            return empty
+        out = out.rename(columns={"deg": "degree", "rank": rank})
+        out[size] = out[size].astype("int64")
+    return (out.sort_values([rank, "path"], ascending=[False, True])
+            .head(k)[["path", size, rank]].reset_index(drop=True))
 
 
 def entity_pagerank(triples: rd.Dataset, iters: int = 3, d: float = 0.85,
-                    k: int = 30,
-                    small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                    ) -> pd.DataFrame:
+                    k: int = 30) -> pd.DataFrame:
     """PageRank over the entity co-mention graph — iterative
     groupby-aggregate dataflow (the power iteration as Ray Data rounds):
     each round joins the rank vector onto the edge list (bucketed on the
@@ -485,106 +582,101 @@ def entity_pagerank(triples: rd.Dataset, iters: int = 3, d: float = 0.85,
     same ``iters`` rounds as chained CTEs over the independently
     re-extracted mention stream (__ray_entry__.oracle_sql).
 
-    Scale shape (adaptive, same gate story as the dedup components): below
-    ``small_incidence_rows`` distinct (conv, entity) incidence rows the
-    graph is solved on the driver (numpy bincount power iteration —
-    identical fixpoint: the 6dp per-round quantization makes the float-sum
-    order immaterial, pinned by the small==distributed equivalence test);
-    above it, ranks and edges stay Datasets throughout, per-round state is
-    one row per node re-materialized each round exactly like
-    ``propagate_labels``, and only the final top-k reaches the driver.
+    Runs ``ops/graph.pagerank_np`` on a collected graph and
+    ``pagerank_ds`` on a Dataset graph (the 6dp per-round quantization
+    makes the float-sum order immaterial, pinned by the small==distributed
+    equivalence test); only the final top-k reaches the driver.
     """
-    from ..ops.agg import round_away, topk_ds
-    from ..ops.joins import bucket_join
+    return _ranked(comention_graph(triples), iters, d, k,
+                   weighted=False, personalized=False)
 
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, degv, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
-            return pd.DataFrame({"path": pd.Series(dtype="str"),
-                                 "degree": pd.Series(dtype="int64"),
-                                 "rank_norm": pd.Series(dtype="float64")})
-        r = np.ones(len(nodes))
-        w = 1.0 / degv
-        for _ in range(iters):
-            contrib = np.bincount(t_idx, weights=r[s_idx] * w[s_idx],
-                                  minlength=len(nodes))
-            r = round_away((1.0 - d) + d * contrib, 6)
-        pmap = distinct_paths(mentions0).to_pandas()
-        pmap = dict(zip(pmap.pid, pmap.norm_path))
-        out = pd.DataFrame({"path": [pmap[n] for n in nodes],
-                            "degree": degv, "rank_norm": r})
-        out = (out.sort_values(["rank_norm", "path"], ascending=[False, True])
-               .head(k).reset_index(drop=True))
-        out["degree"] = out["degree"].astype("int64")
-        return out[["path", "degree", "rank_norm"]]
 
-    edges, deg = comention_graph(triples)
-    deg = deg.materialize()
-    if deg.count() == 0:
-        # no co-mention edges anywhere (every conversation mentions at most
-        # one entity): empty graph, schema-stable empty result
-        return pd.DataFrame({"path": pd.Series(dtype="str"),
-                             "degree": pd.Series(dtype="int64"),
-                             "rank_norm": pd.Series(dtype="float64")})
+def _component_table(g: ArrayGraph | DatasetGraph, num_parts: int = 64,
+                     with_deg: bool = False):
+    """Per-component rollup (component_path = min normalized path, n_nodes,
+    deg_sum) of the graph's min-label connected components, computed by the
+    ``ops/graph`` label-propagation kernel of the graph's side over the
+    (conversation, pid) incidence: every conversation is a clique over its
+    entities, so components of the incidence equal components of the
+    pairwise graph, without the O(k^2) pairs. Paths never co-mentioned are
+    singleton components. ``deg_sum`` sums the node degrees, so it builds
+    the edges; without ``with_deg`` it is 0. A pandas frame for an
+    ArrayGraph, a Dataset otherwise."""
+    if isinstance(g, ArrayGraph):
+        pids, labels, _ = _labels_vectorized(g.band, g.pid)
+        deg = np.zeros(len(pids), np.int64)
+        if with_deg:
+            deg[np.searchsorted(pids, g.nodes)] = g.deg
+        df = pd.DataFrame({"label": labels, "path": g.paths(pids),
+                           "deg": deg})
+        return (df.groupby("label", sort=False)
+                .agg(component_path=("path", "min"), n_nodes=("path", "size"),
+                     deg_sum=("deg", "sum"))
+                .reset_index(drop=True))
 
-    ranks = deg.map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "rank": pa.array(np.ones(t.num_rows), pa.float64())}),
-        batch_format="pyarrow").materialize()
+    labels0 = g.paths.map_batches(
+        lambda t: pa.table({"pid": t.column("pid"), "label": t.column("pid")}),
+        batch_format="pyarrow")
+    labels, _ = propagate_labels(g.incidence, labels0)
+    named = bucket_join(labels, g.paths, on="pid")
+    if with_deg:
+        degp = g.deg.map_batches(
+            lambda t: pa.table({"pid": t.column("node"),
+                                "deg": t.column("deg")}),
+            batch_format="pyarrow")
+        named = bucket_join(named, degp, on="pid", how="left")
 
-    for _ in range(iters):
-        state = bucket_join(deg, ranks, on="node")
-        contrib_src = bucket_join(
-            edges,
-            state.map_batches(lambda t: t.rename_columns(["s", "deg", "rank"]),
-                              batch_format="pyarrow"),
-            on="s")
+    def local(t: pa.Table) -> pa.Table:
+        if "deg" in t.column_names:
+            d = t.column("deg")
+            if isinstance(d, pa.ChunkedArray):
+                d = d.combine_chunks()
+            d = pc.fill_null(d.cast(pa.int64()), 0)
+        else:
+            d = pa.array(np.zeros(t.num_rows, np.int64))
+        x = pa.table({"label": t.column("label"),
+                      "norm_path": t.column("norm_path"), "deg": d})
+        agg = (x.group_by(["label"]).aggregate(
+            [("norm_path", "min"), ("deg", "sum"), ([], "count_all")]))
+        agg = agg.rename_columns(["label", "comp_path", "deg_part", "n_part"])
+        part = pc.bit_wise_and(agg.column("label"),
+                               pa.scalar(num_parts - 1, pa.int64()))
+        return agg.append_column("__part", part.cast(pa.int32()))
 
-        def contrib(t: pa.Table) -> pa.Table:
-            r = t.column("rank").to_numpy(zero_copy_only=False)
-            dg = t.column("deg").to_numpy(zero_copy_only=False)
-            return pa.table({"node": t.column("t"),
-                             "c": pa.array(r / dg, pa.float64())})
+    def finish(grp: pa.Table) -> pa.Table:
+        agg = (grp.drop_columns(["__part"]).group_by(["label"]).aggregate(
+            [("comp_path", "min"), ("deg_part", "sum"), ("n_part", "sum")]))
+        return pa.table({
+            "component_path": agg.column("comp_path_min"),
+            "n_nodes": agg.column("n_part_sum").cast(pa.int64()),
+            "deg_sum": agg.column("deg_part_sum").cast(pa.int64())})
 
-        parts = contrib_src.map_batches(contrib, batch_format="pyarrow")
-        from ..ops.agg import grouped_sums_ds
+    return (named.map_batches(local, batch_format="pyarrow")
+            .groupby("__part").map_groups(finish, batch_format="pyarrow"))
 
-        summed = grouped_sums_ds(parts, keys=["node"], sum_cols={"c": "c"})
 
-        def renorm(t: pa.Table) -> pa.Table:
-            c = t.column("c").to_numpy(zero_copy_only=False)
-            r = round_away((1.0 - d) + d * c, 6)
-            return pa.table({"node": t.column("node"),
-                             "rank": pa.array(r, pa.float64())})
+_COMPONENT_COLS = {"component_path": "str", "n_nodes": "int64",
+                   "deg_sum": "int64"}
 
-        ranks = summed.map_batches(renorm, batch_format="pyarrow").materialize()
 
-    mentions = mentions_from_triples(triples)
-    paths = distinct_paths(mentions)
-    named = bucket_join(ranks, deg, on="node")
-    named = bucket_join(
-        named,
-        paths.map_batches(lambda t: t.rename_columns(["node", "path"]),
-                          batch_format="pyarrow"),
-        on="node")
-    out = topk_ds(named, by=["rank", "path"], ascending=[False, True], k=k,
-                  columns=["node", "rank", "deg", "path"])
-    if out.empty:
-        return pd.DataFrame({"path": pd.Series(dtype="str"),
-                             "degree": pd.Series(dtype="int64"),
-                             "rank_norm": pd.Series(dtype="float64")})
-    out = out.rename(columns={"deg": "degree", "rank": "rank_norm"})
-    out["degree"] = out["degree"].astype("int64")
-    return out[["path", "degree", "rank_norm"]].reset_index(drop=True)
+def _top_components(g: ArrayGraph | DatasetGraph, k: int, num_parts: int,
+                    with_deg: bool = False) -> pd.DataFrame:
+    """Top-``k`` rows of ``_component_table`` by (n_nodes DESC,
+    component_path ASC)."""
+    comp = _component_table(g, num_parts, with_deg)
+    by, asc = ["n_nodes", "component_path"], [False, True]
+    if not isinstance(comp, pd.DataFrame):
+        comp = topk_ds(comp, by=by, ascending=asc, k=k,
+                       columns=list(_COMPONENT_COLS))
+    if comp.empty:
+        return pd.DataFrame({c: pd.Series(dtype=t)
+                             for c, t in _COMPONENT_COLS.items()})
+    return (comp.astype({"n_nodes": "int64", "deg_sum": "int64"})
+            .sort_values(by, ascending=asc).head(k).reset_index(drop=True))
 
 
 def comention_components(triples: rd.Dataset, k: int = 40,
-                         num_parts: int = 64,
-                         small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                         ) -> pd.DataFrame:
+                         num_parts: int = 64) -> pd.DataFrame:
     """Connected components of the entity co-mention graph, as iterative
     min-label propagation (the north_rule union-find machinery) — and the
     first FULL value oracle over it: co-mention edges are SQL-derivable
@@ -592,81 +684,13 @@ def comention_components(triples: rd.Dataset, k: int = 40,
     transitive closure (recursive CTE) and the per-component rollup must
     match row-for-row.
 
-    The incidence is bipartite (conversation, entity): every conversation
-    is a clique over its mentioned entities, so components over the
-    (band=conv, pid) incidence equal components of the pairwise co-mention
-    graph — without materializing the O(k^2) pairs.
-
     Returns top-``k`` components as (component_path = lexicographic min
     normalized path in the component, n_nodes), ordered by
     (n_nodes DESC, component_path ASC). Singleton components (paths never
     co-mentioned) are included.
     """
-    from ..ops.agg import topk_ds
-    from ..ops.joins import bucket_join
-
-    mentions = mentions_from_triples(triples).materialize()
-    paths = distinct_paths(mentions).materialize()
-    if paths.count() == 0:
-        return pd.DataFrame({"component_path": pd.Series(dtype="str"),
-                             "n_nodes": pd.Series(dtype="int64")})
-
-    incidence = _conv_pid_incidence(mentions).materialize()
-    if incidence.count() <= small_incidence_rows:
-        # driver small path: numpy min-label propagation over the collected
-        # incidence (same fixpoint as propagate_labels — min is
-        # order-independent; the small==distributed test pins equality).
-        # Isolated nodes (mentioned, never co-mentioned) are their own
-        # singleton components and _labels_vectorized covers them: every
-        # mention row IS an incidence row, so every pid appears.
-        band, pid = _collect_incidence(incidence)
-        uniq, lab = _labels_vectorized(band, pid, max_rounds=64)
-        pmap = paths.to_pandas()
-        pmap = dict(zip(pmap.pid, pmap.norm_path))
-        df = pd.DataFrame({"label": lab,
-                           "path": [pmap[p] for p in uniq]})
-        comp = (df.groupby("label", sort=False)
-                .agg(component_path=("path", "min"), n_nodes=("path", "size"))
-                .reset_index(drop=True))
-        comp["n_nodes"] = comp["n_nodes"].astype("int64")
-        return (comp.sort_values(["n_nodes", "component_path"],
-                                 ascending=[False, True])
-                .head(k).reset_index(drop=True))
-
-    labels0 = paths.map_batches(
-        lambda t: pa.table({"pid": t.column("pid"),
-                            "label": t.column("pid")}),
-        batch_format="pyarrow")
-    labels, _rounds, converged = propagate_labels(incidence, labels0)
-    assert converged, "comention_components: label propagation hit the cap"
-
-    named = bucket_join(labels, paths, on="pid")
-
-    def local(t: pa.Table) -> pa.Table:
-        agg = (t.select(["label", "norm_path"]).group_by(["label"])
-               .aggregate([("norm_path", "min"), ([], "count_all")]))
-        agg = agg.rename_columns(["label", "comp_path", "n_part"])
-        part = pc.bit_wise_and(agg.column("label"),
-                               pa.scalar(num_parts - 1, pa.int64()))
-        return agg.append_column("__part", part.cast(pa.int32()))
-
-    pre = named.map_batches(local, batch_format="pyarrow")
-
-    def finish(g: pa.Table) -> pa.Table:
-        agg = (g.drop_columns(["__part"]).group_by(["label"])
-               .aggregate([("comp_path", "min"), ("n_part", "sum")]))
-        return pa.table({"component_path": agg.column("comp_path_min"),
-                         "n_nodes": agg.column("n_part_sum").cast(pa.int64())})
-
-    comps = pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
-    out = topk_ds(comps, by=["n_nodes", "component_path"],
-                  ascending=[False, True], k=k,
-                  columns=["component_path", "n_nodes"])
-    if out.empty:
-        return pd.DataFrame({"component_path": pd.Series(dtype="str"),
-                             "n_nodes": pd.Series(dtype="int64")})
-    out["n_nodes"] = out["n_nodes"].astype("int64")
-    return out[["component_path", "n_nodes"]].reset_index(drop=True)
+    comp = _top_components(comention_graph(triples), k, num_parts)
+    return comp[["component_path", "n_nodes"]]
 
 
 _MODULARITY_COLS = ("component_path", "n_nodes", "deg_sum",
@@ -674,9 +698,7 @@ _MODULARITY_COLS = ("component_path", "n_nodes", "deg_sum",
 
 
 def comention_modularity(triples: rd.Dataset, k: int = 40,
-                         num_parts: int = 64,
-                         small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                         ) -> pd.DataFrame:
+                         num_parts: int = 64) -> pd.DataFrame:
     """Modularity decomposition of the co-mention graph under its
     connected-components partition — the standard graph-clustering quality
     metric. Communities = components, so every edge is intra-community and
@@ -690,94 +712,18 @@ def comention_modularity(triples: rd.Dataset, k: int = 40,
     Returns top-``k`` components by (n_nodes DESC, component_path) as
     (component_path, n_nodes, deg_sum, n_intra_edges, q_term_nano) —
     q_term_nano is ONE pinned IEEE expression over exact int64 counts,
-    nano-rounded (the SQL twin repeats it verbatim).
-
-    Scale shape: the component rollup is the comention_components
-    machinery (adaptive driver/distributed label propagation under the
-    same incidence gate); degrees come from the bounded pair-expansion
-    graph; the final q_term is computed only for the k winners.
+    nano-rounded (the SQL twin repeats it verbatim). The final q_term is
+    computed only for the k winners.
     """
-    from ..ops.agg import round_away, topk_ds
-    from ..ops.joins import bucket_join
-
-    empty = pd.DataFrame(
-        {"component_path": pd.Series(dtype="str")}
-        | {c: pd.Series(dtype="int64") for c in _MODULARITY_COLS[1:]})
-    mentions = mentions_from_triples(triples).materialize()
-    paths = distinct_paths(mentions).materialize()
-    if paths.count() == 0:
-        return empty
-
-    edges, deg = comention_graph(triples, num_parts=num_parts,
-                                 mentions=mentions)
-    m = edges.count() // 2  # distinct undirected co-mention pairs
-    incidence = _conv_pid_incidence(mentions).materialize()
-
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        uniq, lab = _labels_vectorized(band, pid, max_rounds=64)
-        pmap = paths.to_pandas()
-        degdf = deg.to_pandas()
-        df = (pd.DataFrame({"pid": uniq, "label": lab})
-              .merge(pmap, on="pid")
-              .merge(degdf.rename(columns={"node": "pid"}), on="pid",
-                     how="left"))
-        df["deg"] = df["deg"].fillna(0).astype("int64")
-        comp = (df.groupby("label", sort=False)
-                .agg(component_path=("norm_path", "min"),
-                     n_nodes=("norm_path", "size"),
-                     deg_sum=("deg", "sum"))
-                .reset_index(drop=True))
-    else:
-        labels0 = paths.map_batches(
-            lambda t: pa.table({"pid": t.column("pid"),
-                                "label": t.column("pid")}),
-            batch_format="pyarrow")
-        labels, _rounds, converged = propagate_labels(incidence, labels0)
-        assert converged, "comention_modularity: propagation hit the cap"
-        named = bucket_join(labels, paths, on="pid")
-        degp = deg.map_batches(
-            lambda t: t.rename_columns(["pid", "deg"]),
-            batch_format="pyarrow")
-        withdeg = bucket_join(named, degp, on="pid", how="left")
-
-        def local(t: pa.Table) -> pa.Table:
-            d = t.column("deg")
-            if isinstance(d, pa.ChunkedArray):
-                d = d.combine_chunks()
-            d = pc.fill_null(d.cast(pa.int64()), 0)
-            x = pa.table({"label": t.column("label"),
-                          "norm_path": t.column("norm_path"), "deg": d})
-            agg = (x.group_by(["label"]).aggregate(
-                [("norm_path", "min"), ("deg", "sum"), ([], "count_all")]))
-            agg = agg.rename_columns(["label", "comp_path", "deg_part",
-                                      "n_part"])
-            part = pc.bit_wise_and(agg.column("label"),
-                                   pa.scalar(num_parts - 1, pa.int64()))
-            return agg.append_column("__part", part.cast(pa.int32()))
-
-        pre = withdeg.map_batches(local, batch_format="pyarrow")
-
-        def finish(g: pa.Table) -> pa.Table:
-            agg = (g.drop_columns(["__part"]).group_by(["label"]).aggregate(
-                [("comp_path", "min"), ("deg_part", "sum"),
-                 ("n_part", "sum")]))
-            return pa.table({
-                "component_path": agg.column("comp_path_min"),
-                "n_nodes": agg.column("n_part_sum").cast(pa.int64()),
-                "deg_sum": agg.column("deg_part_sum").cast(pa.int64())})
-
-        comps = pre.groupby("__part").map_groups(finish,
-                                                 batch_format="pyarrow")
-        comp = topk_ds(comps, by=["n_nodes", "component_path"],
-                       ascending=[False, True], k=k,
-                       columns=["component_path", "n_nodes", "deg_sum"])
+    g = comention_graph(triples)
+    comp = _top_components(g, k, num_parts, with_deg=True)
     if comp.empty:
-        return empty
-    comp = (comp.sort_values(["n_nodes", "component_path"],
-                             ascending=[False, True])
-            .head(k).reset_index(drop=True))
-    dc = comp["deg_sum"].astype("int64").to_numpy()
+        return pd.DataFrame(
+            {"component_path": pd.Series(dtype="str")}
+            | {c: pd.Series(dtype="int64") for c in _MODULARITY_COLS[1:]})
+    # distinct undirected co-mention pairs
+    m = (len(g.s) if isinstance(g, ArrayGraph) else g.edges.count()) // 2
+    dc = comp["deg_sum"].to_numpy()
     comp["n_intra_edges"] = dc // 2
     if m > 0:
         # pinned IEEE expression, verbatim in the SQL twin:
@@ -792,8 +738,7 @@ def comention_modularity(triples: rd.Dataset, k: int = 40,
     return comp[list(_MODULARITY_COLS)].reset_index(drop=True)
 
 
-def comention_assortativity(triples: rd.Dataset,
-                            num_parts: int = 64) -> pd.DataFrame:
+def comention_assortativity(triples: rd.Dataset) -> pd.DataFrame:
     """Degree assortativity of the co-mention graph: Pearson correlation
     of (deg(s), deg(t)) over all DIRECTED edges — positive means hubs
     co-mention hubs (assortative mixing), negative means hub-leaf
@@ -802,31 +747,18 @@ def comention_assortativity(triples: rd.Dataset,
     expression); the correlation itself is the repo's ONE pinned
     grouped_corr IEEE expression, nano-rounded.
 
-    Shape: two bucketed joins hang each endpoint's degree on the edge
-    stream; per-batch integer partials reduce the exchange to one
-    6-number row per block. Returns one row:
+    Shape: Datasets at every size (``DatasetGraph``, no size gate): two
+    bucketed joins hang each endpoint's degree on the edge stream;
+    per-batch integer partials reduce the exchange to one 6-number row per
+    block. Returns one row:
     (n_edges, sum_x, sum_y, sum_xx, sum_yy, sum_xy, assort_nano).
 
     Oracle: SQL re-derives edges + degrees and repeats the expression —
     see __ray_entry__.
     """
-    from ..ops.agg import round_away
-    from ..ops.joins import bucket_join
-
     cols = ["n_edges", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy",
             "assort_nano"]
     empty = pd.DataFrame({c: pd.Series(dtype="int64") for c in cols})
-    mentions = mentions_from_triples(triples).materialize()
-    edges, deg = comention_graph(triples, num_parts=num_parts,
-                                 mentions=mentions)
-    if edges.count() == 0:
-        return empty
-    deg = deg.materialize()
-    degs = deg.map_batches(
-        lambda t: t.rename_columns(["s", "deg_s"]), batch_format="pyarrow")
-    degt = deg.map_batches(
-        lambda t: t.rename_columns(["t", "deg_t"]), batch_format="pyarrow")
-    j = bucket_join(bucket_join(edges, degs, on="s"), degt, on="t")
 
     def partial(tab: pa.Table) -> pa.Table:
         x = tab.column("deg_s").to_numpy(zero_copy_only=False).astype(
@@ -841,6 +773,16 @@ def comention_assortativity(triples: rd.Dataset,
             "syy": pa.array([int((y * y).sum())], pa.int64()),
             "sxy": pa.array([int((x * y).sum())], pa.int64())})
 
+    g = DatasetGraph(*_graph_inputs(triples))
+    if g.edges.count() == 0:
+        return empty
+    degs = g.deg.map_batches(
+        lambda t: pa.table({"s": t.column("node"), "deg_s": t.column("deg")}),
+        batch_format="pyarrow")
+    degt = g.deg.map_batches(
+        lambda t: pa.table({"t": t.column("node"), "deg_t": t.column("deg")}),
+        batch_format="pyarrow")
+    j = bucket_join(bucket_join(g.edges, degs, on="s"), degt, on="t")
     parts = j.map_batches(partial, batch_format="pyarrow").to_pandas()
     if parts.empty:
         return empty
@@ -933,9 +875,7 @@ def entity_timeline(triples: rd.Dataset, transcripts_source: "str | rd.Dataset",
     return out.sort_values("hour").reset_index(drop=True)
 
 
-def comention_triangles(triples: rd.Dataset,
-                        small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                        ) -> pd.DataFrame:
+def comention_triangles(triples: rd.Dataset) -> pd.DataFrame:
     """Triangle count + global clustering coefficient of the co-mention
     graph — one row (n_nodes, n_edges, n_wedges, n_triangles,
     global_clustering): n_edges counts undirected edges, wedges =
@@ -943,16 +883,12 @@ def comention_triangles(triples: rd.Dataset,
     round half away from zero). Fully value-oracled: the SQL twin counts
     triangles with the ordered 3-way self-join (a.s<a.t<b.t).
 
-    Adaptive: below the incidence gate the ordered-adjacency forward count
-    runs on the driver (per-edge sorted-neighbor intersection); above it,
-    the distributed form builds wedges with one bucket_join (ordered edges
-    joined on mid vertex) and closes them with a bucketed semi-join on the
-    hashed (lo, hi) pair key — the standard two-exchange triangle plan.
+    A collected graph runs the ordered-adjacency forward count (per-edge
+    sorted-neighbor intersection); a Dataset graph builds wedges with one
+    bucket_join (ordered edges joined on mid vertex) and closes them with a
+    bucketed semi-join on the hashed (lo, hi) pair key — the standard
+    two-exchange triangle plan.
     """
-    from ..ops.agg import round_away
-
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
 
     def result(n_nodes, n_edges, n_wedges, n_tri):
         cc = 0.0 if n_wedges == 0 else float(
@@ -965,40 +901,33 @@ def comention_triangles(triples: rd.Dataset,
             "global_clustering": pd.Series([cc], dtype="float64"),
         })
 
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, degv, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
+    g = comention_graph(triples)
+    if isinstance(g, ArrayGraph):
+        n = len(g.nodes)
+        if n == 0:
             return result(0, 0, 0, 0)
-        n_edges = len(s_idx) // 2  # symmetric directed pairs -> undirected
-        n_wedges = int((degv * (degv - 1) // 2).sum())
+        n_wedges = int((g.deg * (g.deg - 1) // 2).sum())
         # forward algorithm on the ordered adjacency: for each edge u<v,
         # count common neighbors w with w>v (each triangle found once)
-        fwd = s_idx < t_idx
-        fs, ft = s_idx[fwd], t_idx[fwd]
+        fwd = g.s < g.t
+        fs, ft = g.s[fwd], g.t[fwd]
         order = np.lexsort((ft, fs))
         fs, ft = fs[order], ft[order]
-        starts = np.searchsorted(fs, np.arange(len(nodes)))
-        ends = np.searchsorted(fs, np.arange(len(nodes)) + 1)
+        starts = np.searchsorted(fs, np.arange(n))
+        ends = np.searchsorted(fs, np.arange(n) + 1)
         n_tri = 0
         for u, v in zip(fs, ft):
             nu = ft[starts[u]:ends[u]]
             nv = ft[starts[v]:ends[v]]
             n_tri += len(np.intersect1d(nu[nu > v], nv, assume_unique=True))
-        return result(len(nodes), n_edges, n_wedges, n_tri)
-
-    # ---- distributed path ----
-    from ..ops.agg import grouped_sums
-    from ..ops.joins import bucket_semi_join
-
-    edges, deg = comention_graph(triples)
+        return result(n, len(g.s) // 2, n_wedges, n_tri)
 
     def ordered_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.less(t.column("s"), t.column("t")))
+        return t.select(["s", "t"]).filter(pc.less(t.column("s"), t.column("t")))
 
-    oe = edges.map_batches(ordered_only, batch_format="pyarrow").materialize()
+    oe = g.edges.map_batches(ordered_only, batch_format="pyarrow").materialize()
     n_edges = oe.count()
-    degp = deg.map_batches(
+    degp = g.deg.map_batches(
         lambda t: pa.table({"w": pa.array(
             (lambda d: d * (d - 1) // 2)(
                 t.column("deg").to_numpy(zero_copy_only=False)), pa.int64()),
@@ -1031,98 +960,53 @@ def comention_triangles(triples: rd.Dataset,
     ek = oe.map_batches(
         lambda t: pa.table({"__pk": _pairkey(t.column("s"), t.column("t"))}),
         batch_format="pyarrow")
-    closed = bucket_semi_join(wk, ek, on="__pk")
-    n_tri = closed.count()
+    n_tri = bucket_semi_join(wk, ek, on="__pk").count()
     return result(n_nodes, n_edges, n_wedges, n_tri)
 
 
-def top_comention_pairs(triples: rd.Dataset, k: int = 25,
-                        num_parts: int = 64) -> pd.DataFrame:
+def top_comention_pairs(triples: rd.Dataset, k: int = 25) -> pd.DataFrame:
     """Top-k entity pairs by co-mention weight (= number of DISTINCT
     conversations mentioning both), ties broken by (path_a, path_b) — the
     weighted-edge view of the co-mention graph (association mining's pair
-    support). Per-conversation distinct pair fan-out -> pair-key-bucketed
-    count -> distributed top-k; paths carried with the pair rows (strings
-    ride the shuffle once per (pair, conv))."""
-    from ..ops.agg import topk_ds
+    support): the capped edges of a ``DatasetGraph`` (Datasets at every
+    size, no size gate) with path_a < path_b and n_convs = w, then a
+    distributed top-k."""
+    cols = ["path_a", "path_b", "n_convs"]
+    g = DatasetGraph(*_graph_inputs(triples))
 
-    mentions = mentions_from_triples(triples)
+    def ordered(t: pa.Table) -> pa.Table:
+        return pa.table({"path_a": t.column("path_a"),
+                         "path_b": t.column("path_b"),
+                         "n_convs": t.column("w")}).filter(
+            pc.less(t.column("path_a"), t.column("path_b")))
 
-    def local(t: pa.Table) -> pa.Table:
-        return (t.select(["conv_id", "pid", "norm_path"])
-                .group_by(["conv_id", "pid"])
-                .aggregate([("norm_path", "min")])
-                .rename_columns(["conv_id", "pid", "norm_path"]))
-
-    pre = mentions.map_batches(local, batch_format="pyarrow")
-
-    def pairs(g: pa.Table) -> pa.Table:
-        d = (g.group_by(["pid"]).aggregate([("norm_path", "min")])
-             .rename_columns(["pid", "norm_path"]))
-        paths = np.array(d.column("norm_path").to_pylist())
-        order = np.argsort(paths, kind="stable")
-        paths = paths[order]
-        kk = len(paths)
-        if kk < 2:
-            return pa.table({"path_a": pa.array([], pa.string()),
-                             "path_b": pa.array([], pa.string())})
-        iu, ju = np.triu_indices(kk, 1)
-        return pa.table({"path_a": pa.array(paths[iu], pa.string()),
-                         "path_b": pa.array(paths[ju], pa.string())})
-
-    raw = pre.groupby("conv_id").map_groups(pairs, batch_format="pyarrow")
-
-    def part(t: pa.Table) -> pa.Table:
-        d = (t.group_by(["path_a", "path_b"]).aggregate([([], "count_all")])
-             .rename_columns(["path_a", "path_b", "n_part"]))
-        a = content_hash64_arrow(d.column("path_a"))
-        return d.append_column(
-            "__part", pa.array((a % np.uint64(num_parts)).astype(np.int64),
-                               pa.int64()))
-
-    def finish(g: pa.Table) -> pa.Table:
-        agg = (g.drop_columns(["__part"])
-               .group_by(["path_a", "path_b"]).aggregate([("n_part", "sum")]))
-        return pa.table({"path_a": agg.column("path_a"),
-                         "path_b": agg.column("path_b"),
-                         "n_convs": agg.column("n_part_sum").cast(pa.int64())})
-
-    counts = (raw.map_batches(part, batch_format="pyarrow")
-              .groupby("__part").map_groups(finish, batch_format="pyarrow"))
-    out = topk_ds(counts, by=["n_convs", "path_a", "path_b"],
-                  ascending=[False, True, True], k=k,
-                  columns=["path_a", "path_b", "n_convs"])
+    pairs = bucket_join(
+        bucket_join(g.edges, _node_paths(g, "s", "path_a"), on="s"),
+        _node_paths(g, "t", "path_b"), on="t")
+    out = topk_ds(pairs.map_batches(ordered, batch_format="pyarrow"),
+                  by=["n_convs", "path_a", "path_b"],
+                  ascending=[False, True, True], k=k, columns=cols)
     if out.empty:
         return pd.DataFrame({"path_a": pd.Series(dtype="str"),
                              "path_b": pd.Series(dtype="str"),
                              "n_convs": pd.Series(dtype="int64")})
     out["n_convs"] = out["n_convs"].astype("int64")
-    return out[["path_a", "path_b", "n_convs"]].reset_index(drop=True)
+    return (out.sort_values(["n_convs", "path_a", "path_b"],
+                            ascending=[False, True, True])
+            .head(k)[cols].reset_index(drop=True))
 
 
-def comention_degree_histogram(triples: rd.Dataset,
-                               small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                               ) -> pd.DataFrame:
+def comention_degree_histogram(triples: rd.Dataset) -> pd.DataFrame:
     """Degree distribution of the co-mention graph: (degree, n_nodes)
     ascending — the first thing anyone plots about a graph, and a cheap
     extra external gate on the edge builder (SQL reproduces it from the
     re-derived edges)."""
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, degv, _s, _t = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
-            return pd.DataFrame({"degree": pd.Series(dtype="int64"),
-                                 "n_nodes": pd.Series(dtype="int64")})
-        deg_vals, counts = np.unique(degv, return_counts=True)
+    g = comention_graph(triples)
+    if isinstance(g, ArrayGraph):
+        deg_vals, counts = np.unique(g.deg, return_counts=True)
         return pd.DataFrame({"degree": deg_vals.astype("int64"),
                              "n_nodes": counts.astype("int64")})
-    # distributed: degree table -> count per degree (two tiny groupbys)
-    from ..ops.agg import grouped_sums
-
-    _edges, deg = comention_graph(triples)
-    one = deg.map_batches(
+    one = g.deg.map_batches(
         lambda t: pa.table({"degree": t.column("deg"),
                             "one": pa.array(np.ones(t.num_rows, np.int64))}),
         batch_format="pyarrow")
@@ -1131,205 +1015,36 @@ def comention_degree_histogram(triples: rd.Dataset,
     return out.sort_values("degree").reset_index(drop=True)
 
 
-def _weighted_edges_from_incidence(band: np.ndarray, pid: np.ndarray,
-                                   max_conv_entities: int = 4096):
-    """Directed co-mention edges with conversation-count weights, from
-    collected incidence: (nodes, strength, s_idx, t_idx, w). Each
-    conversation contributes each unordered pair once, so the weight is
-    the number of distinct conversations co-mentioning the pair."""
-    order = np.lexsort((pid, band))
-    band, pid = band[order], pid[order]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(band)) + 1, [len(band)]))
-    srcs, dsts = [], []
-    for i in range(len(bounds) - 1):
-        ids = pid[bounds[i]:bounds[i + 1]][:max_conv_entities]
-        kk = len(ids)
-        if kk < 2:
-            continue
-        iu, ju = np.triu_indices(kk, 1)
-        a, b = ids[iu], ids[ju]
-        srcs.append(np.concatenate([a, b]))
-        dsts.append(np.concatenate([b, a]))
-    if not srcs:
-        z = np.empty(0, np.int64)
-        return z, np.empty(0, np.float64), z, z, np.empty(0, np.float64)
-    e = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    uniq, w = np.unique(e, axis=0, return_counts=True)
-    nodes = np.unique(uniq[:, 0])
-    s_idx = np.searchsorted(nodes, uniq[:, 0])
-    t_idx = np.searchsorted(nodes, uniq[:, 1])
-    w = w.astype(np.float64)
-    strength = np.bincount(s_idx, weights=w, minlength=len(nodes))
-    return nodes, strength, s_idx, t_idx, w
-
-
 def entity_pagerank_weighted(triples: rd.Dataset, iters: int = 3,
-                             d: float = 0.85, k: int = 30,
-                             small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                             ) -> pd.DataFrame:
+                             d: float = 0.85, k: int = 30) -> pd.DataFrame:
     """Weighted PageRank: rank flows along co-mention edges in proportion
     to their conversation-count weight (r_v <- (1-d) + d * sum
     r_u * w(u,v) / strength(u), strength = sum of u's edge weights), 6dp
     quantization per round (same SQL-resync argument as the unweighted
     form). Integer weights make strength sums exact on both sides.
 
-    Returns top-k (path, strength, rank_norm). Adaptive small path below
-    the incidence gate; the distributed form is the unweighted plan with
-    the weight column carried through the same joins.
-    """
-    from ..ops.agg import round_away, topk_ds
-    from ..ops.joins import bucket_join
-
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
-
-    def empty():
-        return pd.DataFrame({"path": pd.Series(dtype="str"),
-                             "strength": pd.Series(dtype="int64"),
-                             "rank_norm": pd.Series(dtype="float64")})
-
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, strength, s_idx, t_idx, w = _weighted_edges_from_incidence(band, pid)
-        if len(nodes) == 0:
-            return empty()
-        r = np.ones(len(nodes))
-        frac = w / strength[s_idx]
-        for _ in range(iters):
-            contrib = np.bincount(t_idx, weights=r[s_idx] * frac,
-                                  minlength=len(nodes))
-            r = round_away((1.0 - d) + d * contrib, 6)
-        pmap = distinct_paths(mentions0).to_pandas()
-        pmap = dict(zip(pmap.pid, pmap.norm_path))
-        out = pd.DataFrame({"path": [pmap[n] for n in nodes],
-                            "strength": strength.astype(np.int64),
-                            "rank_norm": r})
-        out = (out.sort_values(["rank_norm", "path"], ascending=[False, True])
-               .head(k).reset_index(drop=True))
-        out["strength"] = out["strength"].astype("int64")
-        return out[["path", "strength", "rank_norm"]]
-
-    # ---- distributed path: weighted edges + strength via groupbys ----
-    from ..ops.agg import grouped_sums_ds
-
-    def local(t: pa.Table) -> pa.Table:
-        return (t.select(["band", "pid"]).group_by(["band", "pid"])
-                .aggregate([]))
-
-    pre = incidence.map_batches(local, batch_format="pyarrow")
-
-    def pairs(g: pa.Table) -> pa.Table:
-        ids = np.unique(g.column("pid").to_numpy(zero_copy_only=False))
-        kk = len(ids)
-        if kk < 2:
-            return pa.table({"s": pa.array([], pa.int64()),
-                             "t": pa.array([], pa.int64())})
-        iu, ju = np.triu_indices(kk, 1)
-        a, b = ids[iu], ids[ju]
-        return pa.table({"s": pa.array(np.concatenate([a, b]), pa.int64()),
-                         "t": pa.array(np.concatenate([b, a]), pa.int64())})
-
-    raw = pre.groupby("band").map_groups(pairs, batch_format="pyarrow")
-
-    def cnt(t: pa.Table) -> pa.Table:
-        agg = t.group_by(["s", "t"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["s", "t", "w"])
-
-    partial = raw.map_batches(cnt, batch_format="pyarrow")
-    wedges = grouped_sums_ds(partial, keys=["s", "t"], sum_cols={"w": "w"})
-    wedges = wedges.materialize()
-    strength = grouped_sums_ds(wedges, keys=["s"], sum_cols={"strength": "w"})
-    strength = strength.map_batches(
-        lambda t: t.rename_columns(["node", "strength"]),
-        batch_format="pyarrow").materialize()
-    if strength.count() == 0:
-        return empty()
-
-    ranks = strength.map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "rank": pa.array(np.ones(t.num_rows), pa.float64())}),
-        batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        state = bucket_join(strength, ranks, on="node")
-        joined = bucket_join(
-            wedges,
-            state.map_batches(
-                lambda t: t.rename_columns(["s", "strength", "rank"]),
-                batch_format="pyarrow"),
-            on="s")
-
-        def contrib(t: pa.Table) -> pa.Table:
-            r = t.column("rank").to_numpy(zero_copy_only=False)
-            ww = t.column("w").to_numpy(zero_copy_only=False).astype(np.float64)
-            st = t.column("strength").to_numpy(zero_copy_only=False).astype(np.float64)
-            return pa.table({"node": t.column("t"),
-                             "c": pa.array(r * (ww / st), pa.float64())})
-
-        parts = joined.map_batches(contrib, batch_format="pyarrow")
-        summed = grouped_sums_ds(parts, keys=["node"], sum_cols={"c": "c"})
-
-        def renorm(t: pa.Table) -> pa.Table:
-            c = t.column("c").to_numpy(zero_copy_only=False)
-            return pa.table({"node": t.column("node"),
-                             "rank": pa.array(round_away((1.0 - d) + d * c, 6),
-                                              pa.float64())})
-
-        ranks = summed.map_batches(renorm, batch_format="pyarrow").materialize()
-
-    paths = distinct_paths(mentions0)
-    named = bucket_join(ranks, strength, on="node")
-    named = bucket_join(
-        named,
-        paths.map_batches(lambda t: t.rename_columns(["node", "path"]),
-                          batch_format="pyarrow"),
-        on="node")
-    out = topk_ds(named, by=["rank", "path"], ascending=[False, True], k=k,
-                  columns=["node", "rank", "strength", "path"])
-    if out.empty:
-        return empty()
-    out = out.rename(columns={"rank": "rank_norm"})
-    out["strength"] = out["strength"].astype("int64")
-    return out[["path", "strength", "rank_norm"]].reset_index(drop=True)
+    Returns top-k (path, strength, rank_norm)."""
+    return _ranked(comention_graph(triples), iters, d, k,
+                   weighted=True, personalized=False)
 
 
-def comention_component_stats(triples: rd.Dataset,
-                              small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                              ) -> tuple[int, int, int]:
+def comention_component_stats(triples: rd.Dataset) -> tuple[int, int, int]:
     """(n_entities, n_components, giant_component_size) of the co-mention
     graph — the rollup form of ``comention_components`` (same fixpoint)."""
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
-    if incidence.count() == 0:
-        return 0, 0, 0
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        uniq, lab = _labels_vectorized(band, pid, max_rounds=64)
-        _, sizes = np.unique(lab, return_counts=True)
-        return int(len(uniq)), int(len(sizes)), int(sizes.max())
-    # distributed: label table -> per-label counts -> (count, max) partials
-    paths = distinct_paths(mentions0).materialize()
-    labels0 = paths.map_batches(
-        lambda t: pa.table({"pid": t.column("pid"), "label": t.column("pid")}),
-        batch_format="pyarrow")
-    labels, _r, converged = propagate_labels(incidence, labels0)
-    assert converged
-    from ..ops.agg import grouped_sums, grouped_sums_ds
-
-    one = labels.map_batches(
-        lambda t: pa.table({"label": t.column("label"),
-                            "one": pa.array(np.ones(t.num_rows, np.int64))}),
-        batch_format="pyarrow")
-    sizes = grouped_sums_ds(one, keys=["label"], sum_cols={"sz": "one"})
+    comp = _component_table(comention_graph(triples))
 
     def partial(t: pa.Table) -> pa.Table:
-        sz = t.column("sz").to_numpy(zero_copy_only=False)
+        sz = t.column("n_nodes").to_numpy(zero_copy_only=False)
         return pa.table({"n": pa.array([len(sz)], pa.int64()),
                          "tot": pa.array([int(sz.sum())], pa.int64()),
                          "mx": pa.array([int(sz.max()) if len(sz) else 0],
                                         pa.int64())})
 
-    parts = sizes.map_batches(partial, batch_format="pyarrow").to_pandas()
+    if isinstance(comp, pd.DataFrame):
+        parts = partial(pa.table({"n_nodes": comp["n_nodes"].to_numpy(np.int64)}))
+        parts = parts.to_pandas()
+    else:
+        parts = comp.map_batches(partial, batch_format="pyarrow").to_pandas()
     return (int(parts["tot"].sum()), int(parts["n"].sum()),
             int(parts["mx"].max()))
 
@@ -1348,7 +1063,6 @@ def similar_conversations(triples: rd.Dataset, tau: float = 0.5,
     sets). Value-oracled: SQL reproduces the pair join with
     list_intersect on the per-conversation entity arrays.
     """
-    from ..ops.agg import round_away
     from ..ops.similarity import _mix64
 
     B = num_buckets
@@ -1443,7 +1157,6 @@ def similar_conversations_lsh(triples: rd.Dataset, tau: float = 0.5,
         _explode_bands,
         _verify_jaccard,
     )
-    from ..ops.joins import bucket_semi_join
 
     mh = MinHasher(num_perm=num_perm, seed=42)
     mentions = mentions_from_triples(triples)
@@ -1517,7 +1230,7 @@ def similar_conversations_lsh(triples: rd.Dataset, tau: float = 0.5,
 
 def _csr_from_edges(nodes: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
     """CSR adjacency (indptr, nbrs) over the compacted node index space of
-    ``_edges_from_incidence`` (edges already hold both directions)."""
+    an ``ArrayGraph`` (edges already hold both directions)."""
     order = np.argsort(s_idx, kind="stable")
     nbrs = t_idx[order]
     indptr = np.searchsorted(s_idx[order], np.arange(len(nodes) + 1))
@@ -1525,9 +1238,7 @@ def _csr_from_edges(nodes: np.ndarray, s_idx: np.ndarray, t_idx: np.ndarray):
 
 
 def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
-               num_parts: int = 64,
-               small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-               ) -> pd.DataFrame:
+               num_parts: int = 64) -> pd.DataFrame:
     """Single-source BFS hop distances over the entity co-mention graph —
     the KG "blast radius" primitive (how far does an artifact's co-mention
     neighborhood extend?).
@@ -1539,20 +1250,18 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
     dist = -1 row counting paths not reached within the cap (isolated
     nodes included), ordered by dist ascending.
 
-    Adaptive like every graph op here: numpy frontier sweep over the
-    collected incidence under the small gate; past it, iterative
-    frontier-expansion rounds (bucket join on the frontier key, anti
-    semi-join against the visited set, exact pid distinct per round) —
-    each round is one bounded exchange, rounds <= max_hops. Oracle:
+    A collected graph runs a numpy frontier sweep; a Dataset graph runs
+    iterative frontier-expansion rounds (bucket join on the frontier key,
+    anti semi-join against the visited set, exact pid distinct per round)
+    — each round is one bounded exchange, rounds <= max_hops. Oracle:
     DuckDB recursive CTE over the re-derived edges (min dist per node).
     """
-    mentions = mentions_from_triples(triples).materialize()
-    paths = distinct_paths(mentions).materialize()
-    n_paths = paths.count()
-    empty = pd.DataFrame({"dist": pd.Series(dtype="int64"),
-                          "n_nodes": pd.Series(dtype="int64")})
+    g = comention_graph(triples)
+    array = isinstance(g, ArrayGraph)
+    n_paths = len(np.unique(g.pid)) if array else g.paths.count()
     if n_paths == 0:
-        return empty
+        return pd.DataFrame({"dist": pd.Series(dtype="int64"),
+                             "n_nodes": pd.Series(dtype="int64")})
 
     def result(counts: list[tuple[int, int]], n_reached: int) -> pd.DataFrame:
         rows = list(counts)
@@ -1562,18 +1271,12 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
         return pd.DataFrame({"dist": pd.Series([r[0] for r in rows], dtype="int64"),
                              "n_nodes": pd.Series([r[1] for r in rows], dtype="int64")})
 
-    incidence = _conv_pid_incidence(mentions).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, _deg, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
+    if array:
+        if len(g.nodes) == 0:
             return result([], 0)
-        pmap_df = paths.to_pandas()
-        pmap = dict(zip(pmap_df.pid, pmap_df.norm_path))
-        node_paths = np.array([pmap[p] for p in nodes])
-        src = int(np.argmin(node_paths))
-        indptr, nbrs = _csr_from_edges(nodes, s_idx, t_idx)
-        dist = np.full(len(nodes), -1, np.int64)
+        src = int(np.argmin(g.paths(g.nodes)))
+        indptr, nbrs = _csr_from_edges(g.nodes, g.s, g.t)
+        dist = np.full(len(g.nodes), -1, np.int64)
         dist[src] = 0
         frontier = np.array([src], np.int64)
         counts = [(0, 1)]
@@ -1595,27 +1298,9 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
             frontier = new
         return result(counts, int((dist >= 0).sum()))
 
-    # distributed path
-    edges, deg = comention_graph(triples, num_parts=num_parts)
-    from ..ops.joins import bucket_semi_join
-
-    endpoints = deg.map_batches(
-        lambda t: t.select(["node"]).rename_columns(["pid"]),
-        batch_format="pyarrow")
-    named = bucket_semi_join(paths, endpoints, on="pid")
-
-    def pmin(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"pid": pa.array([], pa.int64()),
-                             "norm_path": pa.array([], pa.string())})
-        i = pc.index(pc.equal(t.column("norm_path"),
-                              pc.min(t.column("norm_path"))), True).as_py()
-        return t.select(["pid", "norm_path"]).slice(i, 1)
-
-    mins = named.map_batches(pmin, batch_format="pyarrow").to_pandas()
-    if mins.empty:
+    src_pid = _seed_pid(g)
+    if src_pid is None:
         return result([], 0)
-    src_pid = int(mins.loc[mins.norm_path.idxmin(), "pid"])
 
     def _distinct_pids(ds: rd.Dataset) -> rd.Dataset:
         def part(t: pa.Table) -> pa.Table:
@@ -1624,8 +1309,8 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
                                 pa.scalar(num_parts - 1, pa.int64()))
             return d.append_column("__part", b.cast(pa.int32()))
 
-        def fin(g: pa.Table) -> pa.Table:
-            return (g.drop_columns(["__part"])
+        def fin(grp: pa.Table) -> pa.Table:
+            return (grp.drop_columns(["__part"])
                     .group_by(["pid"]).aggregate([]))
 
         return (ds.map_batches(part, batch_format="pyarrow")
@@ -1635,8 +1320,9 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
     visited = frontier
     counts = [(0, 1)]
     n_reached = 1
-    edge_pt = edges.map_batches(
-        lambda t: t.rename_columns(["pid", "t"]), batch_format="pyarrow")
+    edge_pt = g.edges.map_batches(
+        lambda t: pa.table({"pid": t.column("s"), "t": t.column("t")}),
+        batch_format="pyarrow")
     for h in range(1, max_hops + 1):
         hop = bucket_join(edge_pt, frontier, on="pid")
         cand = hop.map_batches(
@@ -1657,9 +1343,7 @@ def entity_bfs(triples: rd.Dataset, max_hops: int = 6,
 
 
 def link_prediction_aa(triples: rd.Dataset, k: int = 20,
-                       num_parts: int = 64,
-                       small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                       ) -> pd.DataFrame:
+                       num_parts: int = 64) -> pd.DataFrame:
     """Adamic-Adar link prediction over the co-mention graph: score every
     NON-adjacent node pair (u, v) by sum(1/ln(deg(z))) over common
     neighbors z, return the top-``k`` — "which artifacts are likely related
@@ -1671,16 +1355,14 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
     sums — order-independent under any shuffle. Output carries the exact
     ``aa_nano`` plus the display ``aa_score`` (nanos / 1e9 at 4dp).
 
-    Shapes: wedges are generated per center (groupby(s) over the edge
-    list — a conversation-clique graph keeps per-center fan-out bounded by
-    the same max_conv_entities cap as the edge builder), adjacency
-    exclusion + pair aggregation happen in ONE exchange (wedge rows union
-    edge-marker rows, hash-routed on the unordered pair key, exact
-    two-column group per partition), and paths join onto the CANDIDATE
-    table (#non-adjacent co-wedge pairs), never onto the wedge stream.
+    Dataset shapes: wedges are generated per center (groupby(s) over the
+    edge list — per-center fan-out is bounded by the edge builder's
+    per-conversation cap), adjacency exclusion + pair aggregation happen in
+    ONE exchange (wedge rows union edge-marker rows, hash-routed on the
+    unordered pair key, exact two-column group per partition), and paths
+    join onto the CANDIDATE table (#non-adjacent co-wedge pairs), never
+    onto the wedge stream.
     """
-    from ..ops.agg import round_away, topk_ds
-
     cols = ["path_a", "path_b", "aa_nano", "aa_score"]
     empty = pd.DataFrame({"path_a": pd.Series(dtype="str"),
                           "path_b": pd.Series(dtype="str"),
@@ -1697,22 +1379,16 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
                                ascending=[False, True, True])
                 .head(k)[cols].reset_index(drop=True))
 
-    mentions = mentions_from_triples(triples).materialize()
-    paths = distinct_paths(mentions).materialize()
-    if paths.count() == 0:
-        return empty
-
-    incidence = _conv_pid_incidence(mentions).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, deg, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
+    g = comention_graph(triples)
+    if isinstance(g, ArrayGraph):
+        n = len(g.nodes)
+        if n == 0:
             return empty
-        indptr, nbrs = _csr_from_edges(nodes, s_idx, t_idx)
+        indptr, nbrs = _csr_from_edges(g.nodes, g.s, g.t)
         with np.errstate(divide="ignore"):
-            w_nano = round_away(1e9 / np.log(deg.astype(np.float64)), 0)
+            w_nano = round_away(1e9 / np.log(g.deg.astype(np.float64)), 0)
         us, vs, ws = [], [], []
-        for z in range(len(nodes)):
+        for z in range(n):
             nb = np.sort(nbrs[indptr[z]:indptr[z + 1]])
             kk = len(nb)
             if kk < 2:
@@ -1725,29 +1401,22 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
         u = np.concatenate(us); v = np.concatenate(vs)
         w = np.concatenate(ws)
         # exclude adjacent pairs: edges as ordered (lo, hi) index pairs
-        lo, hi = np.minimum(s_idx, t_idx), np.maximum(s_idx, t_idx)
-        ekeys = np.unique(lo.astype(np.int64) * len(nodes) + hi)
-        pkey = u.astype(np.int64) * len(nodes) + v
+        lo, hi = np.minimum(g.s, g.t), np.maximum(g.s, g.t)
+        ekeys = np.unique(lo.astype(np.int64) * n + hi)
+        pkey = u.astype(np.int64) * n + v
         keep = ~np.isin(pkey, ekeys)
         df = pd.DataFrame({"key": pkey[keep], "w": w[keep]})
         agg = df.groupby("key", sort=False)["w"].sum().reset_index()
-        pu = (agg["key"] // len(nodes)).to_numpy()
-        pv = (agg["key"] % len(nodes)).to_numpy()
-        pmap_df = paths.to_pandas()
-        pmap = dict(zip(pmap_df.pid, pmap_df.norm_path))
-        pa_ = np.array([pmap[nodes[i]] for i in pu])
-        pb_ = np.array([pmap[nodes[i]] for i in pv])
+        pa_ = g.paths(g.nodes[(agg["key"] // n).to_numpy()])
+        pb_ = g.paths(g.nodes[(agg["key"] % n).to_numpy()])
         swap = pa_ > pb_
         return finish_frame(pd.DataFrame({
             "path_a": np.where(swap, pb_, pa_),
             "path_b": np.where(swap, pa_, pb_),
             "aa_nano": agg["w"].to_numpy()}))
 
-    # distributed path
-    edges, _deg = comention_graph(triples, num_parts=num_parts)
-
-    def wedges(g: pa.Table) -> pa.Table:
-        nb = np.sort(g.column("t").to_numpy(zero_copy_only=False))
+    def wedges(grp: pa.Table) -> pa.Table:
+        nb = np.sort(grp.column("t").to_numpy(zero_copy_only=False))
         kk = len(nb)
         if kk < 2:
             return pa.table({"u": pa.array([], pa.int64()),
@@ -1756,13 +1425,13 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
                              "is_edge": pa.array([], pa.int8())})
         wn = np.int64(round_away(1e9 / np.log(float(kk)), 0))
         iu, ju = np.triu_indices(kk, 1)
-        n = len(iu)
+        m = len(iu)
         return pa.table({"u": pa.array(nb[iu], pa.int64()),
                          "v": pa.array(nb[ju], pa.int64()),
-                         "w": pa.array(np.full(n, wn), pa.int64()),
-                         "is_edge": pa.array(np.zeros(n, np.int8), pa.int8())})
+                         "w": pa.array(np.full(m, wn), pa.int64()),
+                         "is_edge": pa.array(np.zeros(m, np.int8), pa.int8())})
 
-    wedge_ds = edges.groupby("s").map_groups(wedges, batch_format="pyarrow")
+    wedge_ds = g.edges.groupby("s").map_groups(wedges, batch_format="pyarrow")
 
     def edge_markers(t: pa.Table) -> pa.Table:
         s = t.column("s").to_numpy(zero_copy_only=False)
@@ -1774,7 +1443,7 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
                          "w": pa.array(np.zeros(n, np.int64), pa.int64()),
                          "is_edge": pa.array(np.ones(n, np.int8), pa.int8())})
 
-    marker_ds = edges.map_batches(edge_markers, batch_format="pyarrow")
+    marker_ds = g.edges.map_batches(edge_markers, batch_format="pyarrow")
 
     def route(t: pa.Table) -> pa.Table:
         x = np.asarray(t.column("u").to_numpy(zero_copy_only=False), np.uint64)
@@ -1789,8 +1458,8 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
 
     routed = wedge_ds.union(marker_ds).map_batches(route, batch_format="pyarrow")
 
-    def reduce_pairs(g: pa.Table) -> pa.Table:
-        agg = (g.drop_columns(["__part"]).group_by(["u", "v"])
+    def reduce_pairs(grp: pa.Table) -> pa.Table:
+        agg = (grp.drop_columns(["__part"]).group_by(["u", "v"])
                .aggregate([("w", "sum"), ("is_edge", "max")]))
         agg = agg.rename_columns(["u", "v", "aa_nano", "is_edge"])
         keep = agg.filter(pc.equal(agg.column("is_edge"), pa.scalar(0, pa.int8())))
@@ -1798,12 +1467,8 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
 
     cand = routed.groupby("__part").map_groups(reduce_pairs,
                                                batch_format="pyarrow")
-    pa_paths = paths.map_batches(
-        lambda t: t.rename_columns(["u", "path_u"]), batch_format="pyarrow")
-    j1 = bucket_join(cand, pa_paths, on="u")
-    pb_paths = paths.map_batches(
-        lambda t: t.rename_columns(["v", "path_v"]), batch_format="pyarrow")
-    j2 = bucket_join(j1, pb_paths, on="v")
+    j1 = bucket_join(cand, _node_paths(g, "u", "path_u"), on="u")
+    j2 = bucket_join(j1, _node_paths(g, "v", "path_v"), on="v")
 
     def order_pair(t: pa.Table) -> pa.Table:
         a = t.column("path_u")
@@ -1821,9 +1486,7 @@ def link_prediction_aa(triples: rd.Dataset, k: int = 20,
 
 
 def entity_kcore(triples: rd.Dataset, kk: int = 3, rounds: int = 12,
-                 k: int = 40,
-                 small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
-                 ) -> pd.DataFrame:
+                 k: int = 40) -> pd.DataFrame:
     """k-core of the entity co-mention graph: iteratively peel nodes whose
     degree within the surviving subgraph is < ``kk``, up to ``rounds``
     times (reference analog: the graph-pruning step of tools.py's entity
@@ -1841,62 +1504,48 @@ def entity_kcore(triples: rd.Dataset, kk: int = 3, rounds: int = 12,
     (core_degree DESC, path ASC); core_degree is the node's degree inside
     the peeled subgraph.
 
-    Scale shape — same adaptive gate as the other graph analytics: below
-    ``small_incidence_rows`` collected incidence rows the peel is numpy
-    bincounts on the driver; above it each round is two bucketed semi
-    joins (edge endpoints against the surviving node set, co-located by
-    key hash) + a partial-agg degree count, with only the per-round alive
-    COUNT touching the driver. Per-round cost is O(E_alive) exchanged
-    rows, and E_alive shrinks monotonically.
+    A collected graph peels with numpy bincounts; on a Dataset graph each
+    round is two bucketed semi joins (edge endpoints against the surviving
+    node set, co-located by key hash) + a partial-agg degree count, with
+    only the per-round alive COUNT touching the driver. Per-round cost is
+    O(E_alive) exchanged rows, and E_alive shrinks monotonically.
     """
-    from ..ops.agg import grouped_sums_ds, topk_ds
-    from ..ops.joins import bucket_join, bucket_semi_join
-
     empty = pd.DataFrame({"path": pd.Series(dtype="str"),
                           "core_degree": pd.Series(dtype="int64")})
 
-    mentions = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, _deg, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
+    g = comention_graph(triples)
+    if isinstance(g, ArrayGraph):
+        n = len(g.nodes)
+        if n == 0:
             return empty
-        alive = np.ones(len(nodes), dtype=bool)
+        alive = np.ones(n, dtype=bool)
         for _ in range(rounds):
-            live = alive[s_idx] & alive[t_idx]
-            d = np.bincount(s_idx[live], minlength=len(nodes))
+            live = alive[g.s] & alive[g.t]
+            d = np.bincount(g.s[live], minlength=n)
             new_alive = alive & (d >= kk)
             if new_alive.sum() == alive.sum():
                 break
             alive = new_alive
-        live = alive[s_idx] & alive[t_idx]
-        core_deg = np.bincount(s_idx[live], minlength=len(nodes))[alive]
-        core_nodes = nodes[alive]
+        live = alive[g.s] & alive[g.t]
+        core_deg = np.bincount(g.s[live], minlength=n)[alive]
+        core_nodes = g.nodes[alive]
         if len(core_nodes) == 0:
             return empty
-        pmap = distinct_paths(mentions).to_pandas()
-        pmap = dict(zip(pmap.pid, pmap.norm_path))
-        out = pd.DataFrame({"path": [pmap[n] for n in core_nodes],
+        out = pd.DataFrame({"path": g.paths(core_nodes),
                             "core_degree": core_deg.astype("int64")})
         return (out.sort_values(["core_degree", "path"],
                                 ascending=[False, True])
                 .head(k).reset_index(drop=True))
 
-    edges, deg = comention_graph(triples)
-    deg = deg.materialize()
-    if deg.count() == 0:
+    if g.deg.count() == 0:
         return empty
-
-    def nodes_only(t: pa.Table) -> pa.Table:
-        return t.select(["node"])
-
-    alive_ds = deg.map_batches(nodes_only, batch_format="pyarrow").materialize()
+    alive_ds = g.deg.select_columns(["node"]).materialize()
     n_alive = alive_ds.count()
 
     def to_node(t: pa.Table) -> pa.Table:
         return t.select(["s"]).rename_columns(["node"])
 
+    edges = g.edges.select_columns(["s", "t"])
     for _ in range(rounds):
         sa = bucket_semi_join(edges, alive_ds, on="s", right_on="node")
         sb = bucket_semi_join(sa, alive_ds, on="t", right_on="node")
@@ -1918,7 +1567,7 @@ def entity_kcore(triples: rd.Dataset, kk: int = 3, rounds: int = 12,
     core = core.map_batches(
         lambda t: t.rename_columns(["pid", "core_degree"]),
         batch_format="pyarrow")
-    named = bucket_join(core, distinct_paths(mentions), on="pid")
+    named = bucket_join(core, g.paths, on="pid")
     out = topk_ds(named, by=["core_degree", "norm_path"],
                   ascending=[False, True], k=k,
                   columns=["pid", "core_degree", "norm_path"])
@@ -1933,7 +1582,6 @@ def entity_kcore(triples: rd.Dataset, kk: int = 3, rounds: int = 12,
 
 def entity_pagerank_personalized(triples: rd.Dataset, iters: int = 3,
                                  d: float = 0.85, k: int = 30,
-                                 small_incidence_rows: int = SMALL_GRAPH_INCIDENCE,
                                  ) -> pd.DataFrame:
     """Personalized PageRank: the restart mass concentrates on ONE seed
     entity (the lexicographically smallest normalized path among edge
@@ -1946,105 +1594,10 @@ def entity_pagerank_personalized(triples: rd.Dataset, iters: int = 3,
     ``(1-d)*ind + d*sum`` on both sides) with r0 = the restart vector;
     the SQL twin unrolls the rounds as chained CTEs with the seed as a
     scalar subquery. Top-``k`` (path, degree, ppr) by (ppr DESC, path).
-
-    Scale shape: identical to entity_pagerank — the restart indicator is
-    a driver scalar (the seed pid), not a joined side."""
-    from ..ops.agg import round_away, topk_ds
-    from ..ops.joins import bucket_join
-
-    empty = pd.DataFrame({"path": pd.Series(dtype="str"),
-                          "degree": pd.Series(dtype="int64"),
-                          "ppr": pd.Series(dtype="float64")})
-
-    mentions0 = mentions_from_triples(triples).materialize()
-    incidence = _conv_pid_incidence(mentions0).materialize()
-    if incidence.count() <= small_incidence_rows:
-        band, pid = _collect_incidence(incidence)
-        nodes, degv, s_idx, t_idx = _edges_from_incidence(band, pid)
-        if len(nodes) == 0:
-            return empty
-        pmap = distinct_paths(mentions0).to_pandas()
-        pmap = dict(zip(pmap.pid, pmap.norm_path))
-        node_paths = np.array([pmap[n] for n in nodes])
-        e = np.zeros(len(nodes))
-        e[int(np.argmin(node_paths))] = 1.0
-        r = e.copy()
-        w = 1.0 / degv
-        for _ in range(iters):
-            contrib = np.bincount(t_idx, weights=r[s_idx] * w[s_idx],
-                                  minlength=len(nodes))
-            r = round_away((1.0 - d) * e + d * contrib, 6)
-        out = pd.DataFrame({"path": node_paths, "degree": degv, "ppr": r})
-        out = (out.sort_values(["ppr", "path"], ascending=[False, True])
-               .head(k).reset_index(drop=True))
-        out["degree"] = out["degree"].astype("int64")
-        return out[["path", "degree", "ppr"]]
-
-    edges, deg = comention_graph(triples)
-    deg = deg.materialize()
-    if deg.count() == 0:
-        return empty
-
-    paths = distinct_paths(mentions0)
-    named_nodes = bucket_join(
-        deg, paths.map_batches(lambda t: t.rename_columns(["node", "path"]),
-                               batch_format="pyarrow"), on="node")
-    seed = topk_ds(named_nodes, by=["path"], ascending=[True], k=1,
-                   columns=["node", "deg", "path"])
-    if seed.empty:
-        return empty
-    src_pid = int(seed["node"].iloc[0])
-
-    def restart(t: pa.Table) -> pa.Table:
-        node = t.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({"node": t.column("node"),
-                         "rank": pa.array((node == src_pid).astype(np.float64),
-                                          pa.float64())})
-
-    ranks = deg.map_batches(restart, batch_format="pyarrow").materialize()
-
-    from ..ops.agg import grouped_sums_ds
-
-    for _ in range(iters):
-        state = bucket_join(deg, ranks, on="node")
-        contrib_src = bucket_join(
-            edges,
-            state.map_batches(lambda t: t.rename_columns(["s", "deg", "rank"]),
-                              batch_format="pyarrow"),
-            on="s")
-
-        def contrib(t: pa.Table) -> pa.Table:
-            r = t.column("rank").to_numpy(zero_copy_only=False)
-            dg = t.column("deg").to_numpy(zero_copy_only=False)
-            return pa.table({"node": t.column("t"),
-                             "c": pa.array(r / dg, pa.float64())})
-
-        parts = contrib_src.map_batches(contrib, batch_format="pyarrow")
-        summed = grouped_sums_ds(parts, keys=["node"], sum_cols={"c": "c"})
-
-        def renorm(t: pa.Table) -> pa.Table:
-            node = t.column("node").to_numpy(zero_copy_only=False)
-            c = t.column("c").to_numpy(zero_copy_only=False)
-            ind = (node == src_pid).astype(np.float64)
-            r = round_away((1.0 - d) * ind + d * c, 6)
-            return pa.table({"node": t.column("node"),
-                             "rank": pa.array(r, pa.float64())})
-
-        ranks = summed.map_batches(renorm, batch_format="pyarrow").materialize()
-
-    named = bucket_join(ranks, deg, on="node")
-    named = bucket_join(
-        named,
-        paths.map_batches(lambda t: t.rename_columns(["node", "path"]),
-                          batch_format="pyarrow"),
-        on="node")
-    out = topk_ds(named, by=["rank", "path"], ascending=[False, True], k=k,
-                  columns=["node", "rank", "deg", "path"])
-    if out.empty:
-        return empty
-    out = out.rename(columns={"deg": "degree", "rank": "ppr"})
-    out["degree"] = out["degree"].astype("int64")
-    return out[["path", "degree", "ppr"]].reset_index(drop=True)
+    The restart indicator is a driver scalar (the seed pid), not a joined
+    side."""
+    return _ranked(comention_graph(triples), iters, d, k,
+                   weighted=False, personalized=True)
 
 
 def path_depth_profile(triples: rd.Dataset) -> pd.DataFrame:
@@ -2059,8 +1612,6 @@ def path_depth_profile(triples: rd.Dataset) -> pd.DataFrame:
     is the depth histogram. Oracle: SQL separator counting over the same
     normalization CTE — see __ray_entry__.
     """
-    from ..ops.agg import grouped_sums
-
     mentions = mentions_from_triples(triples)
     paths = distinct_paths(mentions)
     empty = pd.DataFrame({"depth": pd.Series(dtype="int64"),
@@ -2101,8 +1652,6 @@ def entity_concentration(triples: rd.Dataset) -> pd.DataFrame:
     Oracle: SQL rank-sum + top-share over the normalization CTE — see
     __ray_entry__.
     """
-    from ..ops.agg import grouped_sums, round_away
-
     mentions = mentions_from_triples(triples)
     empty = pd.DataFrame({c: pd.Series(dtype="int64") for c in
                           ["n_entities", "total_mentions", "gini_nano",

@@ -1,6 +1,11 @@
 """Structural contracts of the package and the query surface.
 
 - Imports go from ``pipelines/`` to ``ops/``, never the other way.
+- The connected-components kernels of ``ops/graph`` run under exactly
+  three callers: the co-mention component rollup, the dedup components and
+  the all-driver dedup tail. The graph queries have no size-gate parameter
+  of their own (the graph core's ``SMALL_GRAPH_INCIDENCE`` is the one
+  gate).
 - The query surface is the KG family only: every oracle has a query, and
   every query is a ``kg_``, ``transcript_`` or ``pii_`` query.
 """
@@ -49,3 +54,33 @@ def test_query_surface_is_the_kg_family():
     assert all(n.startswith(("kg_", "transcript_", "pii_")) for n in names), \
         sorted(n for n in names
                if not n.startswith(("kg_", "transcript_", "pii_")))
+
+
+def test_only_the_component_rollups_run_label_propagation():
+    kernels = {"propagate_labels", "_labels_vectorized"}
+    callers = set()
+    for path in sorted((ROOT / PKG).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in kernels:
+                        callers.add(f"{path.relative_to(ROOT / PKG)}:{owner}")
+    assert callers == {"pipelines/linking.py:_component_table",
+                       "ops/dedup.py:_propagate_components",
+                       "ops/dedup.py:_minhash_driver_small"}, sorted(callers)
+
+
+def test_no_pipeline_function_takes_small_incidence_rows():
+    offenders = []
+    for path in sorted((ROOT / PKG / "pipelines").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if "small_incidence_rows" in [x.arg for x in
+                                              a.posonlyargs + a.args + a.kwonlyargs]:
+                    offenders.append(f"{path.name}:{node.name}")
+    assert not offenders, offenders

@@ -6,6 +6,13 @@ import pytest
 pytestmark = pytest.mark.usefixtures("ray_session")
 
 
+def _on_datasets(monkeypatch):
+    """Force the co-mention graph core onto its Dataset side."""
+    from case_uco_ontology_map_ray.pipelines import linking
+
+    monkeypatch.setattr(linking, "SMALL_GRAPH_INCIDENCE", 0)
+
+
 def _triples_ds(n_convs=6):
     from case_uco_ontology_map_ray.pipelines.kg import triples_from_transcripts
     from case_uco_ontology_map_ray.sources.transcripts import conversations_table
@@ -170,7 +177,7 @@ def test_propagate_labels_chain_converges_logarithmically():
     import pyarrow as pa
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.ops.dedup import propagate_labels
+    from case_uco_ontology_map_ray.ops.graph import propagate_labels
 
     n = 48  # chain pid_i -- band_i -- pid_{i+1}: diameter 47
     bands = list(range(n - 1)) + list(range(n - 1))
@@ -183,14 +190,36 @@ def test_propagate_labels_chain_converges_logarithmically():
         "pid": pa.array(range(n), pa.int64()),
         "label": pa.array(range(n), pa.int64()),
     }))
-    out, rounds, converged = propagate_labels(incidence, labels,
-                                              max_rounds=5, num_buckets=8)
+    out, rounds = propagate_labels(incidence, labels, max_rounds=5,
+                                   num_buckets=8)
     df = out.to_pandas().sort_values("pid")
-    assert converged
     assert (df["label"] == 0).all()  # exact component min for every node
     # one band-step halves distance to the min, the jump step compresses
     # paths: a 47-hop chain must close in far fewer than diameter rounds
     assert rounds <= 10, rounds
+
+
+def test_components_raise_at_the_round_cap(monkeypatch):
+    """Both connected-components kernels share one non-convergence policy:
+    labels still moving at the round cap raise RuntimeError (a chain needs
+    a second round to confirm its fixpoint)."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.ops import graph
+
+    monkeypatch.setattr(graph, "_round_cap", lambda max_rounds: 1)
+    n = 8
+    band = np.r_[np.arange(n - 1), np.arange(n - 1)].astype(np.int64)
+    pid = np.r_[np.arange(n - 1), np.arange(1, n)].astype(np.int64)
+    with pytest.raises(RuntimeError, match="1-round cap"):
+        graph._labels_vectorized(band, pid)
+    incidence = rd.from_arrow(pa.table({"band": band, "pid": pid}))
+    labels = rd.from_arrow(pa.table({"pid": np.arange(n, dtype=np.int64),
+                                     "label": np.arange(n, dtype=np.int64)}))
+    with pytest.raises(RuntimeError, match="1-round cap"):
+        graph.propagate_labels(incidence, labels)
 
 
 def _path_triples_table(conv_paths: dict[str, list[str]]):
@@ -213,7 +242,7 @@ def _path_triples_table(conv_paths: dict[str, list[str]]):
     })
 
 
-def test_comention_graph_edges_and_degrees():
+def test_comention_graph_edges_and_degrees(monkeypatch):
     import ray.data as rd
 
     from case_uco_ontology_map_ray.pipelines.linking import comention_graph
@@ -221,7 +250,9 @@ def test_comention_graph_edges_and_degrees():
     # conv1: triangle a,b,c; conv2: edge a,d; edge (a,b) repeats in conv3
     tab = _path_triples_table({"c1": ["a", "b", "c"], "c2": ["a", "d"],
                                "c3": ["a", "b"]})
-    edges, deg = comention_graph(rd.from_arrow(tab))
+    _on_datasets(monkeypatch)
+    g = comention_graph(rd.from_arrow(tab))
+    edges, deg = g.edges, g.deg
     e = edges.to_pandas()
     assert len(e) == 2 * 4  # {a-b, a-c, b-c, a-d}, both directions, distinct
     d = deg.to_pandas().set_index("node")["deg"]
@@ -294,7 +325,7 @@ def test_comention_components_hand_graph():
     assert got == [("a", 3), ("d", 2), ("f", 1)]
 
 
-def test_pagerank_small_matches_distributed():
+def test_pagerank_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -304,12 +335,12 @@ def test_pagerank_small_matches_distributed():
                                "c3": ["b", "e"], "c4": ["a", "b"],
                                "c5": ["d", "e", "f"]})
     small = entity_pagerank(rd.from_arrow(tab), iters=3, k=10)
-    dist = entity_pagerank(rd.from_arrow(tab), iters=3, k=10,
-                           small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = entity_pagerank(rd.from_arrow(tab), iters=3, k=10)
     pd.testing.assert_frame_equal(small, dist)
 
 
-def test_components_small_matches_distributed():
+def test_components_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -319,12 +350,35 @@ def test_components_small_matches_distributed():
                                "c3": ["d", "e"], "c4": ["f"],
                                "c5": ["e", "g"], "c6": ["h", "a"]})
     small = comention_components(rd.from_arrow(tab), k=10)
-    dist = comention_components(rd.from_arrow(tab), k=10,
-                                small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = comention_components(rd.from_arrow(tab), k=10)
     pd.testing.assert_frame_equal(small, dist)
 
 
-def test_modularity_hand_graph_and_small_matches_distributed():
+def test_component_queries_build_no_edges(monkeypatch):
+    """Components need only the (conversation, pid) incidence: on either
+    side of the graph core the component queries never run the O(k^2)
+    edge builders."""
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.pipelines import linking
+
+    def no_edges(*_):
+        raise AssertionError("edge builder ran")
+
+    monkeypatch.setattr(linking, "clique_edges_np", no_edges)
+    monkeypatch.setattr(linking, "clique_edges_ds", no_edges)
+    tab = _path_triples_table({"c1": ["a", "b"], "c2": ["b", "c"],
+                               "c3": ["d"]})
+    for force in (False, True):
+        if force:
+            _on_datasets(monkeypatch)
+        comp = linking.comention_components(rd.from_arrow(tab), k=10)
+        assert comp["n_nodes"].tolist() == [3, 1]
+        assert linking.comention_component_stats(rd.from_arrow(tab)) == (4, 2, 3)
+
+
+def test_modularity_hand_graph_and_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -346,8 +400,8 @@ def test_modularity_hand_graph_and_small_matches_distributed():
     # components partition modularity: Q = sum q_c = 0.375
     assert int(out["q_term_nano"].sum()) == 375_000_000
 
-    dist = comention_modularity(rd.from_arrow(tab), k=10,
-                                small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = comention_modularity(rd.from_arrow(tab), k=10)
     pd.testing.assert_frame_equal(out, dist)
 
 
@@ -420,7 +474,7 @@ def test_entity_timeline_hour_rollup():
     assert list(out.n_entities) == [2, 1]
 
 
-def test_triangles_hand_graph_and_small_matches_distributed():
+def test_triangles_hand_graph_and_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -435,11 +489,12 @@ def test_triangles_hand_graph_and_small_matches_distributed():
     # 1+1+3+0 = 5; one triangle; clustering = 3/5
     assert (row.n_nodes, row.n_edges, row.n_wedges, row.n_triangles) == (4, 4, 5, 1)
     assert row.global_clustering == 0.6
-    dist = comention_triangles(rd.from_arrow(tab), small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = comention_triangles(rd.from_arrow(tab))
     pd.testing.assert_frame_equal(small, dist)
 
 
-def test_weighted_pagerank_small_matches_distributed_and_weights_matter():
+def test_weighted_pagerank_small_matches_distributed_and_weights_matter(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -451,8 +506,8 @@ def test_weighted_pagerank_small_matches_distributed_and_weights_matter():
                   "c4": ["a", "c"], "c5": ["b", "d"]}
     tab = _path_triples_table(conv_paths)
     small = entity_pagerank_weighted(rd.from_arrow(tab), iters=3, k=10)
-    dist = entity_pagerank_weighted(rd.from_arrow(tab), iters=3, k=10,
-                                    small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = entity_pagerank_weighted(rd.from_arrow(tab), iters=3, k=10)
     pd.testing.assert_frame_equal(small, dist)
     ranks = dict(zip(small.path, small.rank_norm))
     assert ranks["b"] > ranks["c"]  # weight pulls rank toward b
@@ -531,7 +586,7 @@ def test_entity_bfs_hand_chain_and_hop_cap():
         (-1, 3), (0, 1), (1, 1), (2, 1)]
 
 
-def test_entity_bfs_small_matches_distributed():
+def test_entity_bfs_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -541,8 +596,8 @@ def test_entity_bfs_small_matches_distributed():
                                "c3": ["d", "e"], "c4": ["x", "y"],
                                "c5": ["z"]})
     small = entity_bfs(rd.from_arrow(tab), max_hops=4)
-    dist = entity_bfs(rd.from_arrow(tab), max_hops=4,
-                      small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = entity_bfs(rd.from_arrow(tab), max_hops=4)
     pd.testing.assert_frame_equal(small, dist)
 
 
@@ -568,7 +623,7 @@ def test_link_prediction_aa_hand_graph():
         ("a", "c", 2 * 1442695041), ("b", "d", 2 * 1442695041)]
 
 
-def test_link_prediction_aa_small_matches_distributed():
+def test_link_prediction_aa_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -578,8 +633,8 @@ def test_link_prediction_aa_small_matches_distributed():
                                "c3": ["b", "e"], "c4": ["d", "e", "f"],
                                "c5": ["c", "f"]})
     small = link_prediction_aa(rd.from_arrow(tab), k=25)
-    dist = link_prediction_aa(rd.from_arrow(tab), k=25,
-                              small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = link_prediction_aa(rd.from_arrow(tab), k=25)
     pd.testing.assert_frame_equal(small, dist)
 
 
@@ -609,7 +664,7 @@ def test_entity_kcore_peels_transitively():
     assert out.empty
 
 
-def test_entity_kcore_small_matches_distributed():
+def test_entity_kcore_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -618,8 +673,8 @@ def test_entity_kcore_small_matches_distributed():
     tab = _path_triples_table({"c1": ["a", "b", "c", "d"], "c2": ["a", "e"],
                                "c3": ["b", "e"], "c4": ["e", "f"]})
     small = entity_kcore(rd.from_arrow(tab), kk=2, rounds=12, k=10)
-    dist = entity_kcore(rd.from_arrow(tab), kk=2, rounds=12, k=10,
-                        small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = entity_kcore(rd.from_arrow(tab), kk=2, rounds=12, k=10)
     pd.testing.assert_frame_equal(small, dist)
 
 
@@ -640,7 +695,7 @@ def test_personalized_pagerank_concentrates_on_seed_neighborhood():
     assert r["y"] == r["z"]  # symmetric far-clique leaves
 
 
-def test_personalized_pagerank_small_matches_distributed():
+def test_personalized_pagerank_small_matches_distributed(monkeypatch):
     import pandas as pd
     import ray.data as rd
 
@@ -651,6 +706,59 @@ def test_personalized_pagerank_small_matches_distributed():
     tab = _path_triples_table({"c1": ["a", "b", "c"], "c2": ["a", "d"],
                                "c3": ["b", "e"], "c4": ["d", "e", "f"]})
     small = entity_pagerank_personalized(rd.from_arrow(tab), iters=3, k=10)
-    dist = entity_pagerank_personalized(rd.from_arrow(tab), iters=3, k=10,
-                                        small_incidence_rows=0)
+    _on_datasets(monkeypatch)
+    dist = entity_pagerank_personalized(rd.from_arrow(tab), iters=3, k=10)
     pd.testing.assert_frame_equal(small, dist)
+
+
+def test_edge_cap_agrees_on_both_sides(monkeypatch):
+    """A conversation with more entities than the per-conversation cap:
+    both sides of the graph core keep the same capped edge set, so
+    PageRank and weighted PageRank agree, and the top pairs (Datasets at
+    every size) keep only the capped pairs."""
+    import pandas as pd
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.ops import graph
+    from case_uco_ontology_map_ray.pipelines.linking import (
+        entity_pagerank, entity_pagerank_weighted, top_comention_pairs)
+
+    monkeypatch.setattr(graph, "MAX_CONV_ENTITIES", 40)
+    tab = _path_triples_table({"c1": [f"p{i:02d}" for i in range(60)],
+                               "c2": ["p00", "q"], "c3": ["p01", "q"]})
+    queries = [lambda ds: entity_pagerank(ds, iters=3, k=100),
+               lambda ds: entity_pagerank_weighted(ds, iters=3, k=100),
+               lambda ds: top_comention_pairs(ds, k=1000)]
+    small = [q(rd.from_arrow(tab)) for q in queries]
+    _on_datasets(monkeypatch)
+    dist = [q(rd.from_arrow(tab)) for q in queries]
+    for a, b in zip(small, dist):
+        pd.testing.assert_frame_equal(a, b)
+    # c1 contributes the C(40, 2) pairs of its 40 kept entities; c2 and c3
+    # one pair each
+    assert len(small[2]) == 40 * 39 // 2 + 2
+
+
+def test_graph_core_runs_the_triple_stage_once(monkeypatch, tmp_path):
+    """A Dataset-side graph query builds its lazy triple input once: the
+    mention stream is materialized by the core and every stage reads it."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.pipelines.kg import triples_from_transcripts
+    from case_uco_ontology_map_ray.pipelines.linking import entity_pagerank
+    from case_uco_ontology_map_ray.sources.transcripts import conversations_table
+
+    tab = conversations_table(range(4), 12)
+    log = tmp_path / "rows"
+
+    def count_rows(t: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{t.num_rows}\n")
+        return t
+
+    triples = triples_from_transcripts(
+        rd.from_arrow(tab).map_batches(count_rows, batch_format="pyarrow"))
+    _on_datasets(monkeypatch)
+    entity_pagerank(triples, iters=1, k=5)
+    assert sum(map(int, log.read_text().split())) == tab.num_rows
