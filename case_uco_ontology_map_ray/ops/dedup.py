@@ -6,6 +6,9 @@
                    (min-label propagation) -> Dataset[(doc_id, cluster_id)].
                    Entity canonicalization (``pipelines.linking``) runs it
                    over the normalized entity paths.
+- minhash_lsh_table: the same clustering over a driver-held (doc_id, text)
+                   table with no Ray execution, or None above
+                   ``DRIVER_SKETCH_BYTES``.
 - simhash_groups:  64-bit simhash fingerprints; band on 16-bit chunks, link
                    docs within hamming ``radius`` of the bucket root, then
                    min-label propagation -> Dataset[(doc_id, group_id)]
@@ -71,15 +74,23 @@ BROADCAST_VERIFY_THRESHOLD = 2_000_000
 # candidate extraction runs as one collected numpy sort instead of two
 # all-to-all exchanges; 8M rows = 128 MB on the collecting node
 SMALL_BAND_ROWS = 8_000_000
-# all-driver dedup path gate: collected (doc_id, sig, shingles) bound —
-# exact bytes from the materialized sketch, so never a guess. Deliberately
-# TINY: a same-window A/B at the 120k-path canonicalize slice measured the
-# driver path at 40-84 s vs 23 s distributed — the exact-Jaccard verify is
-# real compute that parallelizes well, so serializing it on the driver
-# loses as soon as the candidate set is non-trivial. Below ~8 MB of sketch
-# the work is sub-second either way and the ~6 saved Ray phase rounds
-# dominate (unit-test and tiny-corpus latency).
+# all-driver dedup path gate: in-memory bytes of the collected (doc_id, sig,
+# shingles) sketch table. ``minhash_lsh_dedup`` reads the exact bytes of its
+# materialized sketch; ``minhash_lsh_table`` bounds them from the text
+# lengths before sketching and, at or below the gate, sketches and clusters
+# its driver-held table with no Ray execution at all (entity
+# canonicalization below ``SMALL_BAND_ROWS``).
+# Deliberately TINY: a same-window A/B at the 120k-path canonicalize slice
+# measured the driver path at 40-84 s vs 23 s distributed — the exact-Jaccard
+# verify is real compute that parallelizes well, so serializing it on the
+# driver loses as soon as the candidate set is non-trivial. Below ~8 MB of
+# sketch the work is sub-second either way and the Ray executions it saves
+# (25-60 ms of fixed cost each) dominate.
 DRIVER_SKETCH_BYTES = 8 << 20
+# star candidates kept per LSH bucket (the skew guard of ``_star_edges_np``)
+MAX_BUCKET = 64
+# MinHash family seed of every sketch in this module
+_SEED = 42
 
 
 def _md5_column(texts: list[str]) -> list[str]:
@@ -135,7 +146,7 @@ class _Sketcher:
     """
 
     def __init__(self, num_perm: int, shingle_k: int, use_words: bool,
-                 seed: int = 42, emit_shingles: bool = False,
+                 seed: int = _SEED, emit_shingles: bool = False,
                  emit_simhash: bool = True):
         self.mh = MinHasher(num_perm=num_perm, seed=seed)
         self.k = shingle_k
@@ -170,13 +181,34 @@ def _sketch_fn(t: pa.Table, *sketcher_args) -> pa.Table:
 
 def _sketch(ds, num_perm: int, shingle_k: int, use_words: bool,
             emit_shingles: bool = False, emit_simhash: bool = True):
-    # stateless tasks; each worker process keeps one _Sketcher per argument
-    # tuple, so the hash family is built once per process
-    return ds.map_batches(
-        _sketch_fn,
-        fn_args=(num_perm, shingle_k, use_words, 42, emit_shingles, emit_simhash),
-        batch_format="pyarrow",
-    )
+    """Sketch a Dataset as stateless tasks (each worker process keeps one
+    _Sketcher per argument tuple, so the hash family is built once per
+    process), or a ``pa.Table`` in this process."""
+    args = (num_perm, shingle_k, use_words, _SEED, emit_shingles, emit_simhash)
+    if isinstance(ds, pa.Table):
+        return _sketch_fn(ds, *args)
+    return ds.map_batches(_sketch_fn, fn_args=args, batch_format="pyarrow")
+
+
+def _lsh_sketch(ds, num_perm: int, shingle_k: int, use_words: bool):
+    """The (doc_id, sig, shingles) sketch that MinHash-LSH bands and
+    verifies."""
+    return _sketch(ds, num_perm, shingle_k, use_words,
+                   emit_shingles=True, emit_simhash=False)
+
+
+def _char_sketch_bytes_bound(text: pa.Array, num_perm: int,
+                            shingle_k: int) -> int:
+    """Upper bound on the in-memory bytes of the char-shingle sketch table
+    (doc_id, sig, shingles) of ``text``, from byte lengths alone: a text of
+    b UTF-8 bytes has at most max(b - shingle_k + 1, 1) distinct shingles
+    of 8 B, and each row holds an 8-B id, a ``num_perm`` x 8-B signature
+    and two 4-B offsets."""
+    import pyarrow.compute as pc
+
+    nbytes = pc.binary_length(text).fill_null(0).to_numpy()
+    shingles = int(np.maximum(nbytes - shingle_k + 1, 1).sum())
+    return len(text) * (8 + 8 * num_perm + 2 * 4) + 8 * shingles
 
 
 def _sig_matrix(sig_col, num_perm: int) -> np.ndarray:
@@ -581,23 +613,16 @@ def _propagate_components(edges, all_ids, out_col: str,
     return joined.map_batches(emit, batch_format="pyarrow")
 
 
-def _minhash_driver_small(sketched, mh: "MinHasher", bands: int, tau: float,
-                          max_bucket: int, max_rounds: int):
-    """All-driver tail of ``minhash_lsh_dedup`` for sketch tables that fit
-    one node (gated by exact materialized bytes): band explode, star
-    candidates, exact-Jaccard verify and min-label components in one numpy
-    pass over a single collect. Reuses the exact kernels of the distributed
-    path, so the clustering is identical (pinned by
-    test_minhash_driver_matches_distributed)."""
-    import ray
-
-    tabs = list(sketched.iter_batches(batch_format="pyarrow",
-                                      batch_size=None))
-    if not tabs:
-        return ray.data.from_arrow(pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "cluster_id": pa.array([], pa.int64())}))
-    t = pa.concat_tables(tabs).combine_chunks()
+def _minhash_driver_small(t: pa.Table, mh: "MinHasher", bands: int, tau: float,
+                          max_bucket: int, max_rounds: int) -> pa.Table:
+    """All-driver tail of MinHash-LSH over a sketch table (doc_id, sig,
+    shingles) that fits one node: band explode, star candidates,
+    exact-Jaccard verify and min-label components in one numpy pass.
+    Returns the (doc_id, cluster_id) table in ``t``'s row order. Reuses the
+    exact kernels of the distributed path, so the clustering is identical
+    (pinned by test_minhash_driver_matches_distributed). Runs no Ray
+    execution: ``minhash_lsh_dedup`` feeds it its collected sketch, entity
+    canonicalization a sketch built on the driver."""
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
 
     # candidates: same band keys + per-band star edges as the small band
@@ -631,9 +656,8 @@ def _minhash_driver_small(sketched, mh: "MinHasher", bands: int, tau: float,
         pos_c = np.minimum(pos, len(upids) - 1)
         hit = upids[pos_c] == ids
         labels[hit] = ulabs[pos_c[hit]]
-    return ray.data.from_arrow(pa.table(
-        {"doc_id": pa.array(ids, pa.int64()),
-         "cluster_id": pa.array(labels, pa.int64())}))
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "cluster_id": pa.array(labels, pa.int64())})
 
 
 def minhash_lsh_dedup(
@@ -643,7 +667,7 @@ def minhash_lsh_dedup(
     shingle_k: int = 3,
     use_words: bool = True,
     tau: float = 0.5,
-    max_bucket: int = 64,
+    max_bucket: int = MAX_BUCKET,
     max_rounds: int = 8,
     small_band_rows: int = SMALL_BAND_ROWS,
     driver_sketch_bytes: int = DRIVER_SKETCH_BYTES,
@@ -662,10 +686,11 @@ def minhash_lsh_dedup(
     above the gate it runs the two-exchange distributed form. Pass
     ``small_band_rows=0`` to force the distributed path.
     """
-    mh = MinHasher(num_perm=num_perm, seed=42)
+    import ray
 
-    sketched = _sketch(ds, num_perm, shingle_k, use_words,
-                       emit_shingles=True, emit_simhash=False).materialize()
+    mh = MinHasher(num_perm=num_perm, seed=_SEED)
+
+    sketched = _lsh_sketch(ds, num_perm, shingle_k, use_words).materialize()
     payload = sketched.select_columns(["doc_id", "shingles"])
     bands_ds = sketched.select_columns(["doc_id", "sig"]).map_batches(
         _explode_bands(mh, bands), batch_format="pyarrow")
@@ -685,8 +710,15 @@ def minhash_lsh_dedup(
             # min-label components in ONE numpy pass over a single
             # collect, zero further Ray stages. Same kernels, so the
             # clustering is identical (equivalence-pinned).
-            return _minhash_driver_small(sketched, mh, bands, tau,
-                                         max_bucket, max_rounds)
+            tabs = list(sketched.iter_batches(batch_format="pyarrow",
+                                              batch_size=None))
+            if not tabs:  # no documents at all
+                return ray.data.from_arrow(pa.table(
+                    {"doc_id": pa.array([], pa.int64()),
+                     "cluster_id": pa.array([], pa.int64())}))
+            return ray.data.from_arrow(_minhash_driver_small(
+                pa.concat_tables(tabs).combine_chunks(), mh, bands, tau,
+                max_bucket, max_rounds))
         # Small path: the (band, doc_id) stream fits one node (16 B/row,
         # gated — default 8M rows = 128 MB), so collect it and run the SAME
         # star-edge kernel over one global (band, doc_id) sort instead of
@@ -695,8 +727,6 @@ def minhash_lsh_dedup(
         # bucket on the distributed path, so a global sort restricted to a
         # bucket equals the bucket's local sort; equivalence is pinned by
         # test_minhash_small_matches_distributed.
-        import ray
-
         chunks = list(bands_ds.iter_batches(batch_format="pyarrow",
                                             batch_size=None))
         band = (np.concatenate([c.column("band").to_numpy(zero_copy_only=False)
@@ -714,6 +744,24 @@ def minhash_lsh_dedup(
     verified = _verify_jaccard(edges, payload, tau)
     return _propagate_components(verified, sketched.select_columns(["doc_id"]),
                                  "cluster_id", max_rounds=max_rounds)
+
+
+def minhash_lsh_table(docs: pa.Table, num_perm: int = 64, bands: int = 16,
+                      shingle_k: int = 3, tau: float = 0.5,
+                      max_rounds: int = 8) -> pa.Table | None:
+    """``minhash_lsh_dedup`` over char shingles (``use_words=False``) of a
+    (doc_id, text) table held on the driver, with no Ray execution: the
+    (doc_id, cluster_id) table in ``docs``' row order, the same clustering
+    as the Dataset form. Returns None when the sketch's bytes, bounded from
+    the text lengths before sketching, exceed ``DRIVER_SKETCH_BYTES``; the
+    caller then runs ``minhash_lsh_dedup``."""
+    if (_char_sketch_bytes_bound(docs.column("text"), num_perm, shingle_k)
+            > DRIVER_SKETCH_BYTES):
+        return None
+    return _minhash_driver_small(
+        _lsh_sketch(docs, num_perm, shingle_k, False),
+        MinHasher(num_perm=num_perm, seed=_SEED), bands, tau, MAX_BUCKET,
+        max_rounds)
 
 
 def simhash_groups(ds, shingle_k: int = 3, use_words: bool = True,
@@ -785,10 +833,9 @@ def ngram_jaccard_pairs(ds, shingle_k: int = 3, tau: float = 0.3,
     Returns pandas (id_a, id_b, jac), id_a < id_b — O(matching pairs), not
     O(corpus), so the driver collect is bounded by the result itself.
     """
-    mh = MinHasher(num_perm=num_perm, seed=42)
+    mh = MinHasher(num_perm=num_perm, seed=_SEED)
 
-    sketched = _sketch(ds, num_perm, shingle_k, True,
-                       emit_shingles=True, emit_simhash=False).materialize()
+    sketched = _lsh_sketch(ds, num_perm, shingle_k, True).materialize()
     payload = sketched.select_columns(["doc_id", "shingles"])
     bands_ds = sketched.select_columns(["doc_id", "sig"]).map_batches(
         _explode_bands(mh, bands), batch_format="pyarrow")

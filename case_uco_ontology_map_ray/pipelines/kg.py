@@ -225,20 +225,28 @@ def validated_triples(source: "str | rd.Dataset",
     return map_turns(source, ValidatingTurnTriples, batch_size)
 
 
+def _violation_counts(t: pa.Table) -> pa.Table:
+    """One block's (violation, pred) -> n over its violation rows."""
+    t = plain_strings(t.select(["violation", "pred"]))
+    bad = t.filter(pc.not_equal(t.column("violation"), ""))
+    return bad.group_by(["violation", "pred"]).aggregate(
+        [([], "count_all")]).rename_columns(["violation", "pred", "n"])
+
+
 def violation_summary(validated: rd.Dataset):
-    """Failure-pattern rollup (reference memory.py:21-57): violations
-    Dataset -> groupby(rule).count, as pandas."""
-    from ..ops.agg import grouped_sums
+    """Failure-pattern rollup (reference memory.py:21-57): (violation,
+    pred) -> n over the violation rows, as pandas, most frequent first.
 
-    import pandas as pd
+    Map-only: each block rolls up its own rows in Arrow and the driver sums
+    the partials (a few rows per block), so the summary is one execution
+    with no exchange."""
+    from ..ops.agg import ensure_columns
 
-    bad = validated.filter(expr="violation != ''")
-    out = grouped_sums(bad, keys=["violation", "pred"], sum_cols={},
-                       count_alias="n")
-    if out.empty:
-        return pd.DataFrame({"violation": pd.Series(dtype="str"),
-                             "pred": pd.Series(dtype="str"),
-                             "n": pd.Series(dtype="int64")})
+    parts = ensure_columns(
+        validated.map_batches(_violation_counts, batch_format="pyarrow",
+                              batch_size=None, zero_copy_batch=True).to_pandas(),
+        {"violation": "str", "pred": "str", "n": "int64"})
+    out = parts.groupby(["violation", "pred"], as_index=False)["n"].sum()
     return out.sort_values(["n", "violation"], ascending=[False, True]).reset_index(drop=True)
 
 

@@ -12,17 +12,27 @@ blocking + union-find as iterative groupby-aggregate rounds).
 Pipeline:
   1. mentions: filter path-bearing preds out of the triple stream (map-only);
      normalize the path (Arrow kernels); pid = vectorized 64-bit content
-     hash of the normalized path.
-  2. distinct paths: two-phase dedup (local arrow combiner + pid-partitioned
-     finish) — the node set for clustering.
-  3. clustering = ops/dedup.minhash_lsh_dedup over char-4 shingles of the
-     normalized paths: LSH band blocking -> exact-Jaccard VERIFICATION of
-     every candidate edge -> min-label connected components (adaptive
-     small/distributed groupby rounds, pointer-jumped). Verification is
-     load-bearing: unverified band collisions chain transitively and merge
-     unrelated paths at scale (ROUND5_NOTES.md).
+     hash of the normalized path. Materialized once; its row count is
+     metadata and, with the distinct paths' lengths, picks one of two
+     branches for steps 2-3.
+  2. distinct paths — the node set for clustering. All-driver branch (band
+     rows = mentions x bands <= ``ops.dedup.SMALL_BAND_ROWS`` and the
+     paths' sketch bound <= ``ops.dedup.DRIVER_SKETCH_BYTES``): read out of
+     the materialized mention blocks and deduped in Arrow on the driver (no
+     execution). Distributed branch (past either gate): a two-phase dedup
+     (local arrow combiner + pid-partitioned finish, ``distinct_paths``).
+  3. clustering over char-4 shingles of the normalized paths: LSH band
+     blocking -> exact-Jaccard VERIFICATION of every candidate edge ->
+     min-label connected components (pointer-jumped). All-driver:
+     ``ops/dedup.minhash_lsh_table`` in numpy, so the whole
+     canonicalization runs one Ray execution before its writes.
+     Distributed: ``ops/dedup.minhash_lsh_dedup`` as Ray executions.
+     Verification is load-bearing: unverified band collisions chain
+     transitively and merge unrelated paths at scale (ROUND5_NOTES.md).
   4. canonical IDs: component label -> its path string -> uuid5(NS_ENTITY,
-     canonical path) -> link triples (subj, kb:canonicalEntity, kb:entity-x).
+     canonical path) -> link triples (subj, kb:canonicalEntity, kb:entity-x),
+     by a broadcast map-only join at or below ``small_threshold`` distinct
+     paths, a bucket_join above.
 
 Exact-duplicate paths canonicalize identically by construction (same pid);
 assignment is independent of block arrival order (min is commutative).
@@ -52,11 +62,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from ..config import NS_ENTITY
 from ..functions.fingerprint import uuid5_str
 from ..functions.hashing import content_hash64_arrow
+from ..ops import dedup
 from ..ops.agg import grouped_sums, grouped_sums_ds, plain_strings, round_away, topk_ds
 from ..ops.graph import (
     clique_edges_ds,
@@ -136,27 +148,23 @@ def mentions_from_triples(triples: rd.Dataset) -> rd.Dataset:
     return triples.map_batches(extract, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _min_path_per_pid(t: pa.Table) -> pa.Table:
+    """(pid, norm_path), one row per pid of ``t``: the least path string
+    stands for a pid whose paths' hashes collide."""
+    return t.select(["pid", "norm_path"]).group_by(["pid"]).aggregate(
+        [("norm_path", "min")]).rename_columns(["pid", "norm_path"])
+
+
 def distinct_paths(mentions: rd.Dataset, num_parts: int = 64) -> rd.Dataset:
     """Dataset[(pid, norm_path)] — one row per distinct normalized path."""
 
     def local(t: pa.Table) -> pa.Table:
-        agg = t.select(["pid", "norm_path"]).group_by(["pid"]).aggregate(
-            [("norm_path", "min")]
-        )
+        agg = _min_path_per_pid(t)
         part = pc.bit_wise_and(agg.column("pid"), pa.scalar(num_parts - 1, pa.int64()))
-        return agg.rename_columns(["pid", "norm_path"]).append_column(
-            "__part", part.cast(pa.int32())
-        )
+        return agg.append_column("__part", part.cast(pa.int32()))
 
     pre = mentions.map_batches(local, batch_format="pyarrow")
-
-    def finish(g: pa.Table) -> pa.Table:
-        agg = g.drop_columns(["__part"]).group_by(["pid"]).aggregate(
-            [("norm_path", "min")]
-        )
-        return agg.rename_columns(["pid", "norm_path"])
-
-    return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
+    return pre.groupby("__part").map_groups(_min_path_per_pid, batch_format="pyarrow")
 
 
 def _canonical_ids(paths: pd.Series) -> np.ndarray:
@@ -166,6 +174,39 @@ def _canonical_ids(paths: pd.Series) -> np.ndarray:
     ids = np.array([f"kb:entity-{uuid5_str(NS_ENTITY, p)}" for p in uniq],
                    dtype=object)
     return ids[codes]
+
+
+# char-shingle width of the path sketches
+PATH_SHINGLE_K = 4
+
+ENTITY_SCHEMA = pa.schema([("pid", pa.int64()), ("norm_path", pa.string()),
+                           ("label", pa.int64()), ("canonical_path", pa.string()),
+                           ("canonical_id", pa.string())])
+LINK_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                         ("obj", pa.string()), ("obj_dt", pa.string()),
+                         ("conv_id", pa.string()), ("turn_idx", pa.int32())])
+
+
+def _collected_paths(mentions: rd.Dataset) -> pa.Table:
+    """``distinct_paths`` on the driver: (pid, norm_path) per distinct path,
+    sorted by pid, from the blocks of a MATERIALIZED mention Dataset
+    (reading them starts no execution)."""
+    tabs = [b.select(["pid", "norm_path"]) for b in
+            mentions.iter_batches(batch_format="pyarrow", batch_size=None)]
+    t = pa.concat_tables(tabs) if tabs else ENTITY_SCHEMA.empty_table()
+    return _min_path_per_pid(t).sort_by("pid")
+
+
+def _link_triples(t: pa.Table, obj) -> pa.Table:
+    """Link triple rows (``LINK_SCHEMA``) of mention rows ``t``."""
+    return pa.table({
+        "subj": t.column("subj"),
+        "pred": pa.array(["kb:canonicalEntity"] * t.num_rows, pa.string()),
+        "obj": obj,
+        "obj_dt": pa.array(["@id"] * t.num_rows, pa.string()),
+        "conv_id": t.column("conv_id"),
+        "turn_idx": t.column("turn_idx"),
+    })
 
 
 def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
@@ -183,63 +224,80 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
                    obj_dt=@id, conv_id, turn_idx)
 
     Clustering over the DISTINCT-PATH set (always orders of magnitude
-    smaller than the mention stream) reuses the dedup engine end-to-end
-    (ops/dedup.minhash_lsh_dedup over char-4 shingles of the normalized
-    path): MinHash-LSH blocking -> **exact-Jaccard verification of every
-    candidate edge** (tau=``verify_tau``) -> min-label connected components
-    (adaptive small/distributed, pointer-jumped). The verify stage is what
-    keeps canonicalization meaningful at scale: unverified band collisions
-    chain transitively — measured on a 360k-conv corpus, they merged
-    99.99% of all paths into ONE entity (every prefetch path shares the
+    smaller than the mention stream) is MinHash-LSH over char-4 shingles of
+    the normalized path (``ops/dedup``): blocking -> **exact-Jaccard
+    verification of every candidate edge** (tau=``verify_tau``) -> min-label
+    connected components (pointer-jumped). The verify stage is what keeps
+    canonicalization meaningful at scale: unverified band collisions chain
+    transitively — measured on a 360k-conv corpus, they merged 99.99% of
+    all paths into ONE entity (every prefetch path shares the
     "windows/prefetch/" shingles); with verification only genuinely
     near-identical paths (Jaccard >= tau) link.
 
+    The mention projection is materialized once; its row count is
+    metadata, so the branch is picked from it and the distinct paths'
+    lengths before any further execution:
+
+    - **all-driver** (mentions x ``bands`` <= ``ops.dedup.SMALL_BAND_ROWS``
+      and the distinct paths' sketch bound <=
+      ``ops.dedup.DRIVER_SKETCH_BYTES``): the driver reads the distinct
+      paths out of the mention blocks and ``ops/dedup.minhash_lsh_table``
+      sketches and clusters them. No Ray execution beyond the mention
+      materialization.
+    - **distributed** (past either gate): distinct paths by a
+      pid-partitioned exchange (``distinct_paths``), then
+      ``minhash_lsh_dedup``.
+
+    Both compute the identical clustering (the same kernels).
+
     ``small_threshold`` gates the FINAL pid->canonical_id map: at or below
-    it the (pid, label) table is pulled once to the driver (16 B/row ->
-    default 20M rows ≈ 320 MB) and broadcast as sorted arrays for a
-    map-only link join; above it the map stays a Dataset and the link is a
-    bucket_join. Both produce the identical labeling (the clustering
-    itself is adaptive inside the dedup engine, independent of this gate).
+    it the (pid, label) table is held on the driver (16 B/row -> default
+    20M rows ≈ 320 MB) and broadcast as sorted arrays for a map-only link
+    join; above it the map stays a Dataset and the link is a bucket_join.
+    Both produce the identical labeling.
     """
-    # two consumers read the mention stream (distinct-paths dedup and the
+    # two consumers read the mention stream (the distinct paths and the
     # final link pass): materialize the 6-column projection ONCE so the
     # upstream lineage (triple construction) doesn't re-execute per
     # consumer. The projection is a fraction of the triple stream's bytes
     # and the object store spills it under pressure — strictly cheaper than
     # a second construction pass at any scale.
     mentions = mentions_from_triples(triples).materialize()
-    paths = distinct_paths(mentions).materialize()  # one row per distinct path
-    n_paths = paths.count()
 
-    from ..ops.dedup import minhash_lsh_dedup
-
-    docs = paths.map_batches(
-        lambda t: pa.table({"doc_id": t.column("pid"),
-                            "text": t.column("norm_path")}),
-        batch_format="pyarrow",
-    )
-    labels_ds = minhash_lsh_dedup(
-        docs, num_perm=num_perm, bands=bands, shingle_k=4, use_words=False,
-        tau=verify_tau, max_rounds=max_rounds,
-    ).map_batches(
-        lambda t: t.rename_columns(["pid", "label"]), batch_format="pyarrow",
-    ).materialize()
-
-    if n_paths == 0:
-        # empty corpus: no mentions -> empty entity table + no link triples
-        entity = pd.DataFrame(
-            {"pid": pd.Series(dtype="int64"),
-             "norm_path": pd.Series(dtype="object"),
-             "label": pd.Series(dtype="int64"),
-             "canonical_path": pd.Series(dtype="object"),
-             "canonical_id": pd.Series(dtype="object")})
-        return entity, mentions.map_batches(
-            lambda t: t.slice(0, 0), batch_format="pyarrow")
+    labels = None
+    if mentions.count() * bands <= dedup.SMALL_BAND_ROWS:
+        paths = _collected_paths(mentions)
+        n_paths = paths.num_rows
+        if n_paths == 0:  # no path mentions: no entities, no links
+            return (rd.from_arrow(ENTITY_SCHEMA.empty_table()),
+                    rd.from_arrow(LINK_SCHEMA.empty_table()))
+        # None above DRIVER_SKETCH_BYTES: then the distributed branch
+        labels = dedup.minhash_lsh_table(
+            pa.table({"doc_id": paths.column("pid"),
+                      "text": paths.column("norm_path")}),
+            num_perm=num_perm, bands=bands, shingle_k=PATH_SHINGLE_K,
+            tau=verify_tau, max_rounds=max_rounds)
+        if labels is not None:
+            labels = labels.rename_columns(["pid", "label"])
+    if labels is None:
+        paths = distinct_paths(mentions).materialize()  # one row per path
+        n_paths = paths.count()
+        labels = dedup.minhash_lsh_dedup(
+            paths.map_batches(
+                lambda t: pa.table({"doc_id": t.column("pid"),
+                                    "text": t.column("norm_path")}),
+                batch_format="pyarrow"),
+            num_perm=num_perm, bands=bands, shingle_k=PATH_SHINGLE_K,
+            use_words=False, tau=verify_tau, max_rounds=max_rounds,
+        ).map_batches(
+            lambda t: t.rename_columns(["pid", "label"]), batch_format="pyarrow",
+        ).materialize()
 
     if n_paths <= small_threshold:
-        lab_df = labels_ds.to_pandas()  # every pid has exactly one row
-        lp = lab_df["pid"].to_numpy(dtype=np.int64)
-        ll = lab_df["label"].to_numpy(dtype=np.int64)
+        # every pid has exactly one label row
+        lab = labels.to_pandas()
+        lp = lab["pid"].to_numpy(dtype=np.int64)
+        ll = lab["label"].to_numpy(dtype=np.int64)
         lorder = np.argsort(lp, kind="stable")
         lp, ll = lp[lorder], ll[lorder]
         pdf = paths.to_pandas()
@@ -257,38 +315,25 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
         # broadcast lookup in sorted-array form: pid -> canonical_id via
         # np.searchsorted + one Arrow take per batch (no per-row dict.get)
         sorted_ids = pa.array(pdf["canonical_id"].to_numpy()[order], pa.string())
-
-        import ray
-
         ref = ray.put((sorted_pids, sorted_ids))
 
         def link_join(t: pa.Table) -> pa.Table:
             pids, ids = ray.get(ref)
             p = t.column("pid").to_numpy(zero_copy_only=False)
-            n_ids = len(pids)
-            if n_ids == 0:
-                obj = pa.array([""] * t.num_rows, pa.string())
-            else:
-                ix = np.minimum(np.searchsorted(pids, p), n_ids - 1)
-                hit = pids[ix] == p
-                obj = pc.if_else(pa.array(hit),
-                                 pc.take(ids, pa.array(ix, pa.int64())),
-                                 pa.scalar("", pa.string()))
-            return pa.table({
-                "subj": t.column("subj"),
-                "pred": pa.array(["kb:canonicalEntity"] * t.num_rows, pa.string()),
-                "obj": obj,
-                "obj_dt": pa.array(["@id"] * t.num_rows, pa.string()),
-                "conv_id": t.column("conv_id"),
-                "turn_idx": t.column("turn_idx"),
-            })
+            ix = np.minimum(np.searchsorted(pids, p), len(pids) - 1)
+            hit = pids[ix] == p
+            return _link_triples(t, pc.if_else(
+                pa.array(hit), pc.take(ids, pa.array(ix, pa.int64())),
+                pa.scalar("", pa.string())))
 
         link = mentions.map_batches(link_join, batch_format="pyarrow")
         return entity, link
 
     # ---- distributed path (label map too large to broadcast) ----
+    if isinstance(paths, pa.Table):  # clustered on the driver
+        labels, paths = rd.from_arrow(labels), rd.from_arrow(paths)
     canon = bucket_join(
-        labels_ds,
+        labels,
         paths.map_batches(
             lambda t: t.rename_columns(["label", "canonical_path"]),
             batch_format="pyarrow",
@@ -312,18 +357,9 @@ def canonical_entities(triples: rd.Dataset, num_perm: int = 32, bands: int = 8,
         ),
         on="pid",
     )
-
-    def to_triples(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "subj": t.column("subj"),
-            "pred": pa.array(["kb:canonicalEntity"] * t.num_rows, pa.string()),
-            "obj": t.column("canonical_id"),
-            "obj_dt": pa.array(["@id"] * t.num_rows, pa.string()),
-            "conv_id": t.column("conv_id"),
-            "turn_idx": t.column("turn_idx"),
-        })
-
-    return entity, link.map_batches(to_triples, batch_format="pyarrow")
+    return entity, link.map_batches(
+        lambda t: _link_triples(t, t.column("canonical_id")),
+        batch_format="pyarrow")
 
 
 def conversation_entity_stats(triples: rd.Dataset, salt_k: int = 8) -> pd.DataFrame:

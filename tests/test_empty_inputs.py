@@ -180,7 +180,9 @@ def test_kg_family_survives_empty_transcripts(tmp_path):
     assert kg.validated_triples(src).count() == 0
     assert len(kg.literal_value_counts(kg.triples_from_transcripts(src))) == 0
     ent, link = linking.canonical_entities(kg.triples_from_transcripts(src))
-    assert len(ent) == 0 and link.count() == 0
+    assert ent.count() == 0 and link.count() == 0
+    assert ent.schema().base_schema == linking.ENTITY_SCHEMA
+    assert link.schema().base_schema == linking.LINK_SCHEMA
     assert len(linking.entity_pagerank(
         kg.triples_from_transcripts(src), iters=2, k=5)) == 0
     assert len(linking.conversation_entity_stats(

@@ -112,24 +112,104 @@ def test_small_and_distributed_paths_agree():
     )
 
 
-def test_small_path_gate_boundary():
-    """The small-path gate bounds the (pid, label) map rows pulled to the
-    driver: at exactly n_paths the broadcast path fires; one under it the
-    bucket_join path fires — identical entity assignment either way (the
-    clustering itself is adaptive inside the dedup engine, independent of
-    this gate)."""
-    from case_uco_ontology_map_ray.pipelines.linking import (
-        canonical_entities, distinct_paths, mentions_from_triples)
+def _rowset(df, cols):
+    return set(map(tuple, df[cols].astype(str).values.tolist()))
 
-    triples = _triples_ds(4)
-    n_paths = distinct_paths(mentions_from_triples(triples)).count()
-    at_boundary = canonical_entities(
-        triples, max_rounds=5, small_threshold=n_paths)[0].to_pandas()
-    under_boundary = canonical_entities(
-        triples, max_rounds=5, small_threshold=n_paths - 1)[0].to_pandas()
-    key = ["pid", "label", "canonical_id"]
-    assert set(map(tuple, at_boundary[key].values.tolist())) == set(
-        map(tuple, under_boundary[key].values.tolist()))
+
+ENTITY_KEY = ["pid", "label", "canonical_id"]
+LINK_COLS = ["subj", "pred", "obj", "obj_dt", "conv_id", "turn_idx"]
+
+
+def _at_gate(monkeypatch, triples, past=None, bands=8):
+    """Set ``ops.dedup``'s two canonicalization gates at the sizes of
+    ``triples``, or one below them for the gate named by ``past``
+    ("band" or "sketch"), and record which clustering functions each call
+    then runs."""
+    from case_uco_ontology_map_ray.ops import dedup
+    from case_uco_ontology_map_ray.pipelines import linking
+
+    mentions = linking.mentions_from_triples(triples).materialize()
+    paths = linking._collected_paths(mentions)
+    band_rows = mentions.count() * bands
+    bound = dedup._char_sketch_bytes_bound(paths.column("norm_path"), 32,
+                                           linking.PATH_SHINGLE_K)
+    monkeypatch.setattr(dedup, "SMALL_BAND_ROWS", band_rows - (past == "band"))
+    monkeypatch.setattr(dedup, "DRIVER_SKETCH_BYTES", bound - (past == "sketch"))
+    calls = []
+    for mod, name in ((linking, "distinct_paths"),
+                      (dedup, "minhash_lsh_table"),
+                      (dedup, "minhash_lsh_dedup"),
+                      (dedup, "_minhash_driver_small")):
+        fn = getattr(mod, name)
+
+        def spy(*a, _fn=fn, _name=name, **k):
+            calls.append(_name)
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(mod, name, spy)
+    return paths.num_rows, calls
+
+
+@pytest.mark.parametrize("past", [None, "sketch", "band"])
+def test_canonicalization_branches_agree_at_each_gate(monkeypatch, past):
+    """All-driver and distributed canonicalization give the same entities
+    and links: the all-driver branch runs with both gates at exactly the
+    input's size, the distributed one with either gate one below it."""
+    from case_uco_ontology_map_ray.pipelines.linking import canonical_entities
+
+    triples = _triples_ds(4).materialize()
+    ent0, link0 = canonical_entities(triples, max_rounds=5)
+    want_ent = _rowset(ent0.to_pandas(), ENTITY_KEY)
+    want_link = _rowset(link0.to_pandas(), LINK_COLS)
+    assert len(want_ent) > 1 and len(want_link) > 0
+
+    _, calls = _at_gate(monkeypatch, triples, past)
+    ent, link = canonical_entities(triples, max_rounds=5)
+    assert _rowset(ent.to_pandas(), ENTITY_KEY) == want_ent
+    assert _rowset(link.to_pandas(), LINK_COLS) == want_link
+    # minhash_lsh_dedup's own gates keep their defaults, so its tiny sketch
+    # ends in the same all-driver tail
+    distributed = ["distinct_paths", "minhash_lsh_dedup", "_minhash_driver_small"]
+    assert calls == {
+        None: ["minhash_lsh_table", "_minhash_driver_small"],
+        "sketch": ["minhash_lsh_table"] + distributed,
+        "band": distributed}[past]
+
+
+def test_small_path_gate_boundary(monkeypatch):
+    """The small-path gate bounds the (pid, label) map rows held on the
+    driver: at exactly n_paths the broadcast link join fires; one under it
+    the bucket_join path fires — identical entities and links either way,
+    under both clustering branches."""
+    from case_uco_ontology_map_ray.pipelines.linking import canonical_entities
+
+    triples = _triples_ds(4).materialize()
+    for past in (None, "band"):
+        with monkeypatch.context() as m:
+            n_paths, _ = _at_gate(m, triples, past)
+            at_ent, at_link = canonical_entities(
+                triples, max_rounds=5, small_threshold=n_paths)
+            under_ent, under_link = canonical_entities(
+                triples, max_rounds=5, small_threshold=n_paths - 1)
+            assert _rowset(at_ent.to_pandas(), ENTITY_KEY) == _rowset(
+                under_ent.to_pandas(), ENTITY_KEY), past
+            assert _rowset(at_link.to_pandas(), LINK_COLS) == _rowset(
+                under_link.to_pandas(), LINK_COLS), past
+
+
+def test_canonicalize_below_the_gates_is_one_execution(ray_executions):
+    """Below the gates, canonicalization runs one Ray execution (the mention
+    materialization) and leaves the link join to the caller's write; no
+    execution without operators."""
+    from case_uco_ontology_map_ray.pipelines.linking import canonical_entities
+
+    triples = _triples_ds(4).materialize()
+    n0 = len(ray_executions)
+    entity, link = canonical_entities(triples, max_rounds=5)
+    started = ray_executions[n0:]
+    assert len(started) == 1
+    assert entity.count() > 0 and link.count() > 0
+    assert all(ex.operators() for ex in started)
 
 
 def test_conversation_entity_stats_salted():

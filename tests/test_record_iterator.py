@@ -144,6 +144,38 @@ def test_deeply_nested_turns_do_not_fail_a_job():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_record_value_nested_950_deep_goes_through_every_stage():
+    """A record whose value is nested 950 deep maps like any other record in
+    every KG stage run as a Ray job: its value flattens to one literal, the
+    validating stage passes it, the dedup finish rebuilds the same triples,
+    and coverage, JSON-LD and the custom-facet signatures count it."""
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.pipelines import kg
+    from case_uco_ontology_map_ray.pipelines.jsonld import jsonld_from_transcripts
+
+    src = _batch([("x", 0, "tool", json.dumps(CUSTOM)), ("x", 1, "tool", DEEP_VALUE)])
+
+    def deep_rows(df):
+        return df[(df.conv_id.astype(str) == "x") & (df.turn_idx == 1)]
+
+    triples = deep_rows(kg.triples_from_transcripts(rd.from_arrow(src)).to_pandas())
+    assert ("dfc-ext:widgetSerial", "1", "xsd:integer") in set(
+        map(tuple, triples[["pred", "obj", "obj_dt"]].values.tolist()))
+    validated = deep_rows(kg.validated_triples(rd.from_arrow(src)).to_pandas())
+    assert (validated.violation == "").all()
+    cols = list(triples.columns)
+    assert _rows(validated[cols]) == _rows(triples)
+    dedup = deep_rows(kg.distinct_triples_by_record(rd.from_arrow(src)).to_pandas())
+    assert _rows(dedup[cols]) == _rows(triples)
+    assert len(deep_rows(jsonld_from_transcripts(rd.from_arrow(src)).to_pandas())) == 1
+    coverage = kg.map_turns(rd.from_arrow(src), CoverageStats).to_pandas()
+    assert (coverage.artifact_type == CUSTOM["artifact_type"]).sum() == 2
+    facets = kg.custom_facet_definitions(rd.from_arrow(src))
+    assert CUSTOM["artifact_type"] in set(facets.artifact_type)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_mention_columns_are_plain_strings(tmp_path):
     """A filtered dictionary column keeps its block's whole dictionary, which
     Parquet then writes into every link file."""

@@ -134,6 +134,64 @@ def test_resume_canonicalize_reads_written_triples(transcripts, expected, tmp_pa
     _check_canonical(out, expected)
 
 
+@pytest.mark.parametrize("inp", ["empty", "pathless"])
+def test_input_without_path_mentions(tmp_path, monkeypatch, inp):
+    """An input with no path mention, an empty transcript file or tool
+    turns whose records name no path, writes no entity and no link instead
+    of failing the job."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from case_uco_ontology_map_ray.sources.transcripts import conversations_table
+
+    schema = conversations_table(range(1), 2).schema
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    turns = [] if inp == "empty" else [json.dumps(
+        {"artifact_type": "Widget Telemetry Dump", "widget_serial": f"W-{i}"})
+        for i in range(3)]
+    pq.write_table(pa.table({
+        "conv_id": pa.array(["w"] * len(turns), pa.string()),
+        "turn_idx": pa.array(range(len(turns)), pa.int32()),
+        "role": pa.array(["tool"] * len(turns), pa.string()),
+        "text": pa.array(turns, pa.string()),
+        "tool": pa.array(["widget"] * len(turns), pa.string()),
+        "ts": pa.array([0] * len(turns), pa.timestamp("us")),
+    }).cast(schema), src / "part-0.parquet")
+    _run(monkeypatch, "--input", str(src), "--output", str(out),
+         "--validate", "--canonicalize")
+
+    metrics = json.loads((out / "_metrics.json").read_text())
+    assert metrics["violations"] == []
+    assert (metrics["triples"] > 0) == (inp == "pathless")
+    for sub in ("entities", "entity_links"):
+        assert not list((out / sub).rglob("*.parquet"))
+
+
+def test_violation_summary_is_one_map_only_execution(ray_executions):
+    """The violation rollup is one execution of map operators only: per
+    block counts summed on the driver, no exchange."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.pipelines.kg import violation_summary
+
+    blocks = [pa.table({"pred": ["p", "p", "q", "p"],
+                        "violation": ["", "fidelity", "fidelity", "fidelity"]}),
+              pa.table({"pred": ["p", "q"], "violation": ["datatype", "fidelity"]})]
+    validated = rd.from_arrow(blocks).materialize()
+    n0 = len(ray_executions)
+    out = violation_summary(validated)
+    assert len(ray_executions) == n0 + 1
+    ops = ray_executions[-1].operators()
+    assert ops and not any(w in op for op in ops
+                           for w in ("Aggregate", "Sort", "Shuffle", "Repartition"))
+    assert out.to_dict("records") == [
+        {"violation": "fidelity", "pred": "p", "n": 2},
+        {"violation": "fidelity", "pred": "q", "n": 2},
+        {"violation": "datatype", "pred": "p", "n": 1}]
+
+
 def test_resume_validate_is_rejected(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         _run(monkeypatch, "--input", str(tmp_path), "--output", str(tmp_path / "out"),
