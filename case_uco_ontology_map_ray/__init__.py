@@ -11,7 +11,7 @@ Layout
 ------
 - ``config``     : namespaces, JSON-LD context, alias maps, frozen ontology maps
 - ``functions/`` : pure scalar/vectorized kernels (naming, fingerprint, JSON
-                   parsing, hashing/sketches)
+                   parsing, content hashes, shingles, MinHash, SimHash)
 - ``kg/``        : deterministic KG core — record extraction, UUID planning,
                    property mapping, graph composition, triple flattening
 - ``ontology/``  : TTL-derived ontology index (SHACL-lite shapes) + validation
@@ -20,8 +20,8 @@ Layout
                    validating triple stages)
 - ``ops/``       : shared dataset operators (bucketed joins, grouped sums,
                    dedup and connected components, similarity, sketches,
-                   sampling, text, edit distance); they never import
-                   ``pipelines/``
+                   sampling, text quality and PII redaction); they never
+                   import ``pipelines/``
 - ``pipelines/`` : end-to-end pipelines (transcripts -> triples, JSON-LD,
                    entity linking and graph analytics, transcript prep) and
                    the table/corpus operator libraries (``analytics``,

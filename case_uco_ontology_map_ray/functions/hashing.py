@@ -1,4 +1,4 @@
-"""Hashing / sketching kernels: MinHash, SimHash, shingles, rolling hashes.
+"""Hashing kernels: content hashes, shingles, MinHash, SimHash, an int64 mix.
 
 Built for batch use inside ``map_batches``: the per-row work is a tight loop
 over short strings, the per-hash-function work is numpy-vectorized. All
@@ -13,11 +13,14 @@ import hashlib
 import numpy as np
 
 _MERSENNE = (1 << 61) - 1
+# seed of the one MinHash family: every sketch that is banded or compared
+# against another uses the same permutations
+_MINHASH_SEED = 42
 
 
-def stable_hash64(s: str, seed: int = 0) -> int:
+def stable_hash64(s: str) -> int:
     """Deterministic 64-bit hash (blake2b, process-independent)."""
-    h = hashlib.blake2b(s.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little"))
+    h = hashlib.blake2b(s.encode("utf-8"), digest_size=8, salt=bytes(8))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -135,7 +138,7 @@ def _poly_span_hash(buf: np.ndarray, offs: np.ndarray,
     return out
 
 
-def content_hash64_arrow(arr, seed: int = 0) -> np.ndarray:
+def content_hash64_arrow(arr) -> np.ndarray:
     """Deterministic vectorized 64-bit content hash of every string in an
     Arrow string array (uint64[n]). The whole batch costs one polynomial
     prefix-hash pass over the concatenated utf-8 bytes — the batched
@@ -145,10 +148,19 @@ def content_hash64_arrow(arr, seed: int = 0) -> np.ndarray:
     buf, offs = _arrow_string_spans(arr)
     if len(offs) == 1:
         return np.array([], dtype=np.uint64)
-    out = _poly_span_hash(buf, offs, _POLY_B)
-    if seed:
-        out = _avalanche(out + np.uint64(seed))
-    return out
+    return _poly_span_hash(buf, offs, _POLY_B)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """Deterministic int64 -> non-negative int64 avalanche: xorshift-33,
+    multiply by the murmur3 constant, xorshift-33, keep the low 62 bits.
+    Not the same mix as ``ops.joins._mix_bucket``, which does one
+    xorshift-33 with no multiply."""
+    x = x.astype(np.uint64)
+    x ^= x >> np.uint64(33)
+    x *= np.uint64(0xFF51AFD7ED558CCD)
+    x ^= x >> np.uint64(33)
+    return (x & np.uint64((1 << 62) - 1)).astype(np.int64)
 
 
 def content_hash128_arrow(arr) -> "pa.Array":
@@ -242,13 +254,6 @@ def word_shingles_batch(texts: list[str], k: int = 3) -> tuple[np.ndarray, np.nd
     return sv, offsets
 
 
-def word_shingles(text: str, k: int = 3) -> np.ndarray:
-    """Distinct k-word shingle hashes (token n-grams) as uint64 array —
-    scalar view of ``word_shingles_batch`` (identical values)."""
-    vals, _ = word_shingles_batch([text], k)
-    return vals
-
-
 def char_shingles_batch(texts: list[str], k: int = 4) -> tuple[np.ndarray, np.ndarray]:
     """CSR layout of ``char_shingles`` per text (values identical to the
     scalar kernel; the per-text work is already numpy-vectorized)."""
@@ -267,8 +272,8 @@ class MinHasher:
     standard Broder construction; signatures are mergeable by elementwise min.
     """
 
-    def __init__(self, num_perm: int = 128, seed: int = 42):
-        rng = np.random.RandomState(seed)
+    def __init__(self, num_perm: int = 128):
+        rng = np.random.RandomState(_MINHASH_SEED)
         self.num_perm = num_perm
         self.a = rng.randint(1, _MERSENNE, size=num_perm, dtype=np.uint64)
         self.b = rng.randint(0, _MERSENNE, size=num_perm, dtype=np.uint64)
@@ -326,19 +331,10 @@ class MinHasher:
         return self.band_keys_batch(sig.reshape(1, -1), bands)[0].tolist()
 
 
-def simhash64(shingles: np.ndarray) -> int:
-    """64-bit SimHash of a shingle-hash set (bit-majority fingerprint)."""
-    if len(shingles) == 0:
-        return 0
-    bits = ((shingles[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1))
-    votes = bits.sum(axis=0).astype(np.int64) * 2 - np.int64(len(shingles))
-    return int((votes > 0).astype(np.uint64) @ (np.uint64(1) << np.arange(64, dtype=np.uint64)))
-
-
 def simhash64_batch(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """SimHash fingerprints for a batch of shingle sets in CSR layout —
-    64 vectorized bit-vote segment sums; identical values to ``simhash64``
-    per doc (empty sets fingerprint to 0)."""
+    64 vectorized bit-vote segment sums; per doc the bit-majority
+    fingerprint of its set (empty sets fingerprint to 0)."""
     n_docs = len(offsets) - 1
     out = np.zeros(n_docs, dtype=np.uint64)
     if len(values) == 0:
@@ -355,10 +351,3 @@ def simhash64_batch(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def rolling_fingerprint(text: str, window: int = 64, keep: int = 8) -> list[int]:
-    """Winnowing-style document fingerprint: the ``keep`` smallest distinct
-    window hashes (rolling polynomial over bytes)."""
-    sh = char_shingles(text, k=min(window, max(4, len(text) // 16 or 4)))
-    if len(sh) == 0:
-        return []
-    return sorted(int(v) for v in np.sort(sh)[:keep])

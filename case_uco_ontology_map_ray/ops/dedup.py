@@ -33,11 +33,10 @@ Scale design (no driver-side corpus state anywhere):
   ``propagate_labels``). Both compute the same fixpoint (component
   min-label).
 
-Outputs pinned by regression goldens (tests/goldens/dedup/*, regenerated in
-round 3 when the shingle/band hash family intentionally moved from per-string
-blake2b to the vectorized polynomial family — see functions/hashing.py and
-scripts/pin_dedup_goldens.py; semantics are independently oracled in
-tests/test_dedup_goldens.py and tests/test_hashing_kernels.py).
+Outputs pinned by regression goldens (tests/goldens/dedup/*, under the
+vectorized polynomial shingle/band hash family of functions/hashing.py);
+semantics are independently oracled in tests/test_dedup_goldens.py and
+tests/test_hashing_kernels.py.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ SMALL_BAND_ROWS = 8_000_000
 DRIVER_SKETCH_BYTES = 8 << 20
 # star candidates kept per LSH bucket (the skew guard of ``_star_edges_np``)
 MAX_BUCKET = 64
-# MinHash family seed of every sketch in this module
-_SEED = 42
+# hash groups of the band and edge-distinct exchanges
+_NUM_PARTS = 64
 
 
 def _md5_column(texts: list[str]) -> list[str]:
@@ -146,9 +145,8 @@ class _Sketcher:
     """
 
     def __init__(self, num_perm: int, shingle_k: int, use_words: bool,
-                 seed: int = _SEED, emit_shingles: bool = False,
-                 emit_simhash: bool = True):
-        self.mh = MinHasher(num_perm=num_perm, seed=seed)
+                 emit_shingles: bool = False, emit_simhash: bool = True):
+        self.mh = MinHasher(num_perm=num_perm)
         self.k = shingle_k
         self.use_words = use_words
         self.emit_shingles = emit_shingles
@@ -184,7 +182,7 @@ def _sketch(ds, num_perm: int, shingle_k: int, use_words: bool,
     """Sketch a Dataset as stateless tasks (each worker process keeps one
     _Sketcher per argument tuple, so the hash family is built once per
     process), or a ``pa.Table`` in this process."""
-    args = (num_perm, shingle_k, use_words, _SEED, emit_shingles, emit_simhash)
+    args = (num_perm, shingle_k, use_words, emit_shingles, emit_simhash)
     if isinstance(ds, pa.Table):
         return _sketch_fn(ds, *args)
     return ds.map_batches(_sketch_fn, fn_args=args, batch_format="pyarrow")
@@ -237,11 +235,11 @@ def _explode_bands(mh: MinHasher, bands: int):
     return explode
 
 
-def _band_groups(bands_ds, extract_fn, num_parts: int = 64):
+def _band_groups(bands_ds, extract_fn):
     """Scale-safe per-band processing: co-group COMPLETE bands into
-    ``num_parts`` hash buckets (band determines bucket, so every band lands
+    ``_NUM_PARTS`` hash buckets (band determines bucket, so every band lands
     whole in exactly one group), then run ``extract_fn`` once per bucket
-    over a band-sorted frame. One Ray groupby with ``num_parts`` vectorized
+    over a band-sorted frame. One Ray groupby with ``_NUM_PARTS`` vectorized
     group calls — NOT one Python dispatch per band, which at 10^5+ distinct
     bands costs ~1 ms each and dominates the pipeline.
 
@@ -252,7 +250,7 @@ def _band_groups(bands_ds, extract_fn, num_parts: int = 64):
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return t.append_column("__bucket", _mix_bucket(t.column("band"),
-                                                       num_parts))
+                                                       _NUM_PARTS))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop(columns=["__bucket"]).sort_values(
@@ -268,7 +266,7 @@ def _band_groups(bands_ds, extract_fn, num_parts: int = 64):
         "__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
-def _distinct_edges(edges, num_parts: int = 64):
+def _distinct_edges(edges):
     """Dedup an (int64, int64) edge Dataset: local arrow combiner + one
     hash-partitioned finish (the distinct_paths pattern from linking.py)."""
     import pyarrow.compute as pc
@@ -280,7 +278,7 @@ def _distinct_edges(edges, num_parts: int = 64):
 
     def local(t: pa.Table) -> pa.Table:
         agg = t.select([c0, c1]).group_by([c0, c1]).aggregate([])
-        part = pc.bit_wise_and(agg.column(c0), pa.scalar(num_parts - 1, pa.int64()))
+        part = pc.bit_wise_and(agg.column(c0), pa.scalar(_NUM_PARTS - 1, pa.int64()))
         return agg.append_column("__part", part.cast(pa.int32()))
 
     pre = edges.map_batches(local, batch_format="pyarrow")
@@ -291,11 +289,11 @@ def _distinct_edges(edges, num_parts: int = 64):
     return pre.groupby("__part").map_groups(finish, batch_format="pyarrow")
 
 
-def _star_edges_np(doc: np.ndarray, seg: np.ndarray,
-                   max_bucket: int) -> tuple[np.ndarray, np.ndarray]:
+def _star_edges_np(doc: np.ndarray,
+                   seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Star candidate edges over (band-)segment runs of a doc_id-sorted
     stream: root = segment min (first after sort); the skew guard caps each
-    segment's star at ``max_bucket`` smallest ids (a degenerate band — e.g.
+    segment's star at ``MAX_BUCKET`` smallest ids (a degenerate band — e.g.
     empty docs — would otherwise emit unbounded verify work). Shared by the
     distributed per-bucket stage and the collected small path so both emit
     the identical edge set."""
@@ -306,7 +304,7 @@ def _star_edges_np(doc: np.ndarray, seg: np.ndarray,
     lens = np.diff(np.r_[starts, len(seg)])
     pos = np.arange(len(seg)) - np.repeat(starts, lens)
     roots = np.repeat(doc[starts], lens)
-    keep = (pos >= 1) & (pos < max_bucket)
+    keep = (pos >= 1) & (pos < MAX_BUCKET)
     return doc[keep], roots[keep]
 
 
@@ -344,7 +342,7 @@ def _sorted_csr(ids: np.ndarray, lens: np.ndarray, vals: np.ndarray):
     return sorted_ids, sorted_starts, sorted_vals
 
 
-def _star_candidates(band: np.ndarray, doc: np.ndarray, max_bucket: int):
+def _star_candidates(band: np.ndarray, doc: np.ndarray):
     """Distinct star candidate edges (u, v) of a collected (band, doc_id)
     stream: one global (band, doc_id) sort — buckets hold whole bands, so
     it equals the per-bucket sort of the distributed path — then
@@ -354,7 +352,7 @@ def _star_candidates(band: np.ndarray, doc: np.ndarray, max_bucket: int):
     seg = np.zeros(len(band), dtype=np.int64)
     if len(band):
         seg[1:] = np.cumsum(band[1:] != band[:-1])
-    u, v = _star_edges_np(doc, seg, max_bucket)
+    u, v = _star_edges_np(doc, seg)
     if len(u):
         eorder = np.lexsort((v, u))
         u, v = u[eorder], v[eorder]
@@ -614,7 +612,7 @@ def _propagate_components(edges, all_ids, out_col: str,
 
 
 def _minhash_driver_small(t: pa.Table, mh: "MinHasher", bands: int, tau: float,
-                          max_bucket: int, max_rounds: int) -> pa.Table:
+                          max_rounds: int) -> pa.Table:
     """All-driver tail of MinHash-LSH over a sketch table (doc_id, sig,
     shingles) that fits one node: band explode, star candidates,
     exact-Jaccard verify and min-label components in one numpy pass.
@@ -629,7 +627,7 @@ def _minhash_driver_small(t: pa.Table, mh: "MinHasher", bands: int, tau: float,
     # path (global lexsort == per-bucket sort, buckets contain whole bands)
     sigs = _sig_matrix(t.column("sig"), mh.num_perm)
     u, v = _star_candidates(mh.band_keys_batch(sigs, bands).ravel(),
-                            np.repeat(ids, bands), max_bucket)
+                            np.repeat(ids, bands))
 
     # exact-Jaccard verify against the in-memory shingle CSR (the same
     # _sorted_csr + _csr_gather + _pair_jaccard as _verify_jaccard)
@@ -667,7 +665,6 @@ def minhash_lsh_dedup(
     shingle_k: int = 3,
     use_words: bool = True,
     tau: float = 0.5,
-    max_bucket: int = MAX_BUCKET,
     max_rounds: int = 8,
     small_band_rows: int = SMALL_BAND_ROWS,
     driver_sketch_bytes: int = DRIVER_SKETCH_BYTES,
@@ -688,7 +685,7 @@ def minhash_lsh_dedup(
     """
     import ray
 
-    mh = MinHasher(num_perm=num_perm, seed=_SEED)
+    mh = MinHasher(num_perm=num_perm)
 
     sketched = _lsh_sketch(ds, num_perm, shingle_k, use_words).materialize()
     payload = sketched.select_columns(["doc_id", "shingles"])
@@ -697,7 +694,7 @@ def minhash_lsh_dedup(
 
     def star_edges(g: pd.DataFrame) -> pd.DataFrame:
         u, v = _star_edges_np(g["doc_id"].to_numpy(dtype=np.int64),
-                              g["__seg"].to_numpy(), max_bucket)
+                              g["__seg"].to_numpy())
         return pd.DataFrame({"u": u, "v": v})
 
     n_docs = sketched.count()
@@ -718,7 +715,7 @@ def minhash_lsh_dedup(
                      "cluster_id": pa.array([], pa.int64())}))
             return ray.data.from_arrow(_minhash_driver_small(
                 pa.concat_tables(tabs).combine_chunks(), mh, bands, tau,
-                max_bucket, max_rounds))
+                max_rounds))
         # Small path: the (band, doc_id) stream fits one node (16 B/row,
         # gated — default 8M rows = 128 MB), so collect it and run the SAME
         # star-edge kernel over one global (band, doc_id) sort instead of
@@ -735,7 +732,7 @@ def minhash_lsh_dedup(
         doc = (np.concatenate([c.column("doc_id").to_numpy(zero_copy_only=False)
                                for c in chunks])
                if chunks else np.array([], dtype=np.int64))
-        u, v = _star_candidates(band, doc, max_bucket)
+        u, v = _star_candidates(band, doc)
         edges = ray.data.from_arrow(pa.table({"u": pa.array(u, pa.int64()),
                                               "v": pa.array(v, pa.int64())}))
     else:
@@ -760,8 +757,7 @@ def minhash_lsh_table(docs: pa.Table, num_perm: int = 64, bands: int = 16,
         return None
     return _minhash_driver_small(
         _lsh_sketch(docs, num_perm, shingle_k, False),
-        MinHasher(num_perm=num_perm, seed=_SEED), bands, tau, MAX_BUCKET,
-        max_rounds)
+        MinHasher(num_perm=num_perm), bands, tau, max_rounds)
 
 
 def simhash_groups(ds, shingle_k: int = 3, use_words: bool = True,
@@ -833,7 +829,7 @@ def ngram_jaccard_pairs(ds, shingle_k: int = 3, tau: float = 0.3,
     Returns pandas (id_a, id_b, jac), id_a < id_b — O(matching pairs), not
     O(corpus), so the driver collect is bounded by the result itself.
     """
-    mh = MinHasher(num_perm=num_perm, seed=_SEED)
+    mh = MinHasher(num_perm=num_perm)
 
     sketched = _lsh_sketch(ds, num_perm, shingle_k, True).materialize()
     payload = sketched.select_columns(["doc_id", "shingles"])
@@ -889,7 +885,7 @@ def ngram_jaccard_exact(ds, shingle_k: int = 3, tau: float = 0.3,
     O(n^2) — that is what "exact all pairs" costs; size ``num_buckets`` so a
     pair-group's id block and its emitted edges fit a worker.
     """
-    from .similarity import _mix64
+    from ..functions.hashing import _mix64
 
     B = num_buckets
 
@@ -950,133 +946,3 @@ def ngram_jaccard_exact(ds, shingle_k: int = 3, tau: float = 0.3,
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-def incremental_exact_dedup(new_ds, prior_ds, text_col: str = "text",
-                            id_col: str = "doc_id", hash_mode: str = "poly128"):
-    """Delta dedup: ids from ``new_ds`` that survive dedup against BOTH a
-    prior corpus snapshot and themselves — the standard production pattern
-    for appending a shard to an already-deduplicated corpus without
-    re-touching it.
-
-    Scale shape: the prior side reduces to per-batch-distinct content
-    hashes only (never its ids/payloads); the anti-membership check is a
-    bucketed join on the hash (ops/joins.bucket_semi_join — the hash only
-    routes, equality is exact); survivors then exact-dedup among
-    themselves (min id per hash). The prior corpus is never collected,
-    broadcast whole, or re-deduplicated. Returns Dataset[{id_col}].
-    """
-    def add_hash(t: pa.Table) -> pa.Table:
-        agg = (t.select([id_col])
-               .append_column("__h", _content_key(t, text_col, hash_mode))
-               .group_by(["__h"]).aggregate([(id_col, "min")]))
-        return agg.rename_columns(["__h", id_col])
-
-    def prior_hashes(t: pa.Table) -> pa.Table:
-        key = _content_key(t, text_col, hash_mode)
-        return pa.table({"__h": key.unique()})
-
-    new_hashed = new_ds.map_batches(add_hash, batch_format="pyarrow")
-    prior = prior_ds.map_batches(prior_hashes, batch_format="pyarrow")
-    fresh = bucket_semi_join(new_hashed, prior, on="__h", negate=True)
-    from ray.data.aggregate import Min
-
-    out = fresh.groupby("__h").aggregate(Min(id_col, alias_name=id_col))
-    return out.select_columns([id_col])
-
-
-def crosscorpus_jaccard_exact(train_ds, holdout_ds, shingle_k: int = 3,
-                              tau: float = 0.3, num_buckets: int = 8,
-                              id_col: str = "doc_id") -> pd.DataFrame:
-    """Fuzzy train/holdout decontamination, exact form: ALL cross-corpus
-    pairs (test_id, train_id, jac) with word n-gram Jaccard >= tau — the
-    document-level near-duplicate contamination check (vs the gram-overlap
-    scoring of ``ngram_contamination``). Value-oracled: SQL reproduces the
-    cross-side pair join with the same shingles.
-
-    Same bucket-pair plan as ``ngram_jaccard_exact`` over the UNION of the
-    two corpora with a side tag; pair groups emit only cross-side pairs, so
-    within-corpus work is skipped at the source. The exact form is
-    O(|train| x |holdout|) by contract; the LSH banding path
-    (``ngram_jaccard_pairs`` machinery) is the sublinear scale variant.
-    """
-    from .similarity import _mix64
-
-    B = num_buckets
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table({
-                id_col: t.column(id_col),
-                "text": t.column("text"),
-                "__side": pa.array(np.full(t.num_rows, side, np.int8),
-                                   pa.int8()),
-            })
-        return fn
-
-    union = (train_ds.map_batches(tag(0), batch_format="pyarrow")
-             .union(holdout_ds.map_batches(tag(1), batch_format="pyarrow"))
-             .materialize())
-
-    def shingle_payload(t: pa.Table) -> pa.Table:
-        vals, offs = word_shingles_batch(t.column("text").to_pylist(), shingle_k)
-        return pa.table({
-            "doc_id": t.column(id_col),
-            "shingles": pa.ListArray.from_arrays(
-                pa.array(offs, pa.int32()), pa.array(vals, pa.uint64())),
-        })
-
-    payload = union.map_batches(shingle_payload, batch_format="pyarrow")
-
-    def replicate(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        side = t.column("__side").to_numpy(zero_copy_only=False).astype(np.int8)
-        bkt = (_mix64(ids) % B).astype(np.int64)
-        n = len(ids)
-        pair_ids = np.empty(n * B, dtype=np.int64)
-        for o in range(B):
-            lo = np.minimum(bkt, o)
-            hi = np.maximum(bkt, o)
-            pair_ids[o * n:(o + 1) * n] = lo * B + hi
-        return pa.table({id_col: pa.array(np.tile(ids, B), pa.int64()),
-                         "__side": pa.array(np.tile(side, B), pa.int8()),
-                         "__bkt": pa.array(np.tile(bkt, B), pa.int64()),
-                         "__pair": pa.array(pair_ids, pa.int64())})
-
-    rep = union.map_batches(replicate, batch_format="pyarrow")
-
-    def pair_edges(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"test_id": pd.Series(dtype="int64"),
-                              "train_id": pd.Series(dtype="int64")})
-        if g.empty:
-            return empty
-        pair = int(g["__pair"].iloc[0])
-        i, j = pair // B, pair % B
-        ids = g[id_col].to_numpy(dtype=np.int64)
-        side = g["__side"].to_numpy(dtype=np.int8)
-        bkt = g["__bkt"].to_numpy(dtype=np.int64)
-        if i == j:
-            mask_i = mask_j = np.ones(len(ids), bool)
-        else:
-            mask_i, mask_j = bkt == i, bkt == j
-        # cross-side only: test (side 1) from one mask x train (side 0)
-        # from the other; for i==j this covers every in-bucket cross pair
-        outs = []
-        for mi, mj in ([(mask_i, mask_j)] if i == j
-                       else [(mask_i, mask_j), (mask_j, mask_i)]):
-            te = ids[mi & (side == 1)]
-            tr = ids[mj & (side == 0)]
-            if len(te) and len(tr):
-                outs.append((np.repeat(te, len(tr)), np.tile(tr, len(te))))
-        if not outs:
-            return empty
-        u = np.concatenate([o[0] for o in outs])
-        v = np.concatenate([o[1] for o in outs])
-        return pd.DataFrame({"test_id": u, "train_id": v})
-
-    pairs = rep.groupby("__pair").map_groups(pair_edges, batch_format="pandas")
-    out = _verify_jaccard(pairs, payload, tau, emit_jac=True).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"test_id": pd.Series(dtype="int64"),
-                             "train_id": pd.Series(dtype="int64"),
-                             "jac": pd.Series(dtype="float64")})
-    out = out.astype({"test_id": "int64", "train_id": "int64"})
-    return out.sort_values(["test_id", "train_id"]).reset_index(drop=True)

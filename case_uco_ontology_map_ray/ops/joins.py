@@ -230,15 +230,14 @@ def _mix_bucket(key_col: pa.ChunkedArray, num_buckets: int) -> pa.Array:
 
 
 def bucket_semi_join(left, right, on: str, right_on: str | None = None,
-                     negate: bool = False, num_buckets: int | None = None,
-                     pre_distinct: bool = True):
+                     negate: bool = False, num_buckets: int | None = None):
     """Distributed semi (or anti) join: keep left rows whose ``on`` key does
     (not) appear in ``right``'s ``right_on`` column — with NO driver-side key
     collection. Both sides hash-bucket on the key; membership is checked per
     bucket, which is sound because equal keys always share a bucket.
 
-    ``pre_distinct`` locally dedups the right key column inside each batch
-    before the shuffle (the combiner that keeps the exchanged key volume at
+    The right key column is deduplicated inside each batch before the
+    shuffle (the combiner that keeps the exchanged key volume at
     O(distinct keys x blocks), not O(rows)).
     """
     if num_buckets is None:
@@ -254,9 +253,7 @@ def bucket_semi_join(left, right, on: str, right_on: str | None = None,
         return out.append_column("__side", pa.array([0] * t.num_rows, pa.int8()))
 
     def prep_right(t: pa.Table) -> pa.Table:
-        keys = t.select([right_on])
-        if pre_distinct:
-            keys = keys.group_by([right_on]).aggregate([])
+        keys = t.select([right_on]).group_by([right_on]).aggregate([])
         if right_on != on:
             keys = keys.rename_columns([on])
         arrays, names = [], []
@@ -446,85 +443,3 @@ def _expand_pairs(lo: "np.ndarray", hi: "np.ndarray"):
     return i_idx, starts + offs
 
 
-def banded_self_join(ds, group_col: str, value_col: str, band: int,
-                     id_col: str, num_buckets: int = 64):
-    """Banded non-equi self-join: all pairs of rows sharing ``group_col``
-    whose integer ``value_col`` values differ by strictly less than ``band``
-    (SQL: ``a JOIN b ON a.g = b.g AND a.id < b.id AND abs(a.v - b.v) < band``).
-
-    Scale shape — the classic interval-bucketing plan, no all-pairs blowup:
-    each row lands in value bucket ``vb = v // band`` and is replicated ONCE
-    as a "ghost" into ``vb + 1`` (fixed 2x replication). A qualifying pair's
-    buckets differ by at most 1, so same-bucket pairs form in their own
-    bucket and adjacent-bucket pairs form exactly once in the higher bucket
-    (ghost x own). Co-groups are hash(group, vb) so hot groups still split
-    across value buckets; within a co-group every (group, vb) segment is
-    processed in ONE vectorized pass (segment block-shift + searchsorted +
-    ragged expansion — no per-segment Python dispatch).
-
-    ``id_col`` must be unique per row and int64; ``value_col`` int64 (scale
-    floats to integer units first — exact banding needs exact arithmetic).
-    Output: (group_col, id_lo, id_hi, dvalue) with id_lo < id_hi.
-    """
-    import numpy as np
-
-    def prep(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[value_col].to_numpy(np.int64)
-        vb = v // band
-        own = pd.DataFrame({
-            "g": df[group_col].to_numpy(), "v": v, "vb": vb,
-            "id": df[id_col].to_numpy(np.int64),
-            "ghost": np.zeros(len(df), np.int8),
-        })
-        ghost = own.assign(vb=vb + 1, ghost=np.int8(1))
-        out = pd.concat([own, ghost], ignore_index=True)
-        gh = pd.util.hash_pandas_object(out["g"], index=False).to_numpy(np.uint64)
-        out["__cg"] = ((gh ^ (out["vb"].to_numpy(np.uint64) * np.uint64(0x9E3779B97F4A7C15)))
-                       % np.uint64(num_buckets)).astype(np.int64)
-        return out
-
-    def pairs(co: pd.DataFrame) -> pd.DataFrame:
-        co = co.sort_values(["g", "vb", "v", "id"], kind="mergesort")
-        seg = (co["g"].ne(co["g"].shift()) | co["vb"].ne(co["vb"].shift())).cumsum().to_numpy(np.int64)
-        v = co["v"].to_numpy(np.int64)
-        ids = co["id"].to_numpy(np.int64)
-        gvals = co["g"].to_numpy()
-        is_ghost = co["ghost"].to_numpy(np.int8) == 1
-        # shift each (group, vb) segment into a disjoint int64 block so ONE
-        # global searchsorted answers every per-segment band query; values
-        # are rebased to the segment's first (minimum) value, so the rebased
-        # span is < 2*band (ghosts live in [(vb-1)*band, vb*band), own rows
-        # in [vb*band, (vb+1)*band)) and block = 3*band keeps blocks disjoint
-        # even after the +band probe offset
-        block = np.int64(3) * band
-        first_idx = np.r_[0, np.flatnonzero(np.diff(seg)) + 1]
-        seg_first = np.repeat(v[first_idx], np.diff(np.r_[first_idx, len(v)]))
-        sv = (v - seg_first) + seg * block
-        own_mask = ~is_ghost
-        own_sv, own_id, own_v = sv[own_mask], ids[own_mask], v[own_mask]
-        own_g = gvals[own_mask]
-        # own x own, j > i in (v, id) order: strictly-less-than band
-        hi = np.searchsorted(own_sv, own_sv + band, side="left")
-        lo = np.arange(len(own_sv), dtype=np.int64) + 1
-        i1, j1 = _expand_pairs(lo, hi)
-        # ghost x own: ghost v < segment base (strictly lower vb), every own
-        # row in the segment is > ghost v; those with own_v - ghost_v < band
-        g_sv, g_id, g_v = sv[is_ghost], ids[is_ghost], v[is_ghost]
-        g_g = gvals[is_ghost]
-        glo = np.searchsorted(own_sv, g_sv, side="left")
-        ghi = np.searchsorted(own_sv, g_sv + band, side="left")
-        i2, j2 = _expand_pairs(glo, ghi)
-        a_id = np.r_[own_id[i1], g_id[i2]]
-        b_id = np.r_[own_id[j1], own_id[j2]]
-        dv = np.abs(np.r_[own_v[j1] - own_v[i1], own_v[j2] - g_v[i2]])
-        grp = np.r_[own_g[i1], g_g[i2]]
-        out = pd.DataFrame({
-            group_col: grp,
-            "id_lo": np.minimum(a_id, b_id),
-            "id_hi": np.maximum(a_id, b_id),
-            "dvalue": dv.astype(np.int64),
-        })
-        return out
-
-    pre = ds.map_batches(prep, batch_format="pandas")
-    return pre.groupby("__cg").map_groups(pairs, batch_format="pandas")

@@ -31,8 +31,9 @@ import pyarrow as pa
 
 
 def _mix64_u(x: np.ndarray) -> np.ndarray:
-    """uint64 xorshift-multiply avalanche (same constants as
-    ops.similarity._mix64 / ops.joins._mix_bucket family)."""
+    """uint64 avalanche (murmur3 fmix64): the xorshift-multiply-xorshift of
+    ``functions.hashing._mix64``, then a second multiply and xorshift, with
+    all 64 bits kept."""
     x = x.astype(np.uint64, copy=True)
     x ^= x >> np.uint64(33)
     x *= np.uint64(0xFF51AFD7ED558CCD)

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.hashing import _mix64
 from .agg import round_away
 
 
@@ -70,15 +71,6 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10,
     partials = ds.map_batches(topk_part, batch_format="pyarrow").to_pandas()
     out = partials.sort_values(["cos", id_col], ascending=[False, True]).head(k)
     return out.reset_index(drop=True)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Deterministic int64 avalanche (same mix as ops.joins._mix_bucket)."""
-    x = x.astype(np.uint64)
-    x ^= x >> np.uint64(33)
-    x *= np.uint64(0xFF51AFD7ED558CCD)
-    x ^= x >> np.uint64(33)
-    return (x & np.uint64((1 << 62) - 1)).astype(np.int64)
 
 
 def embedding_neardup_pairs(ds, tau: float = 0.95, id_col: str = "vec_id",

@@ -162,29 +162,6 @@ def merge_jsonld_patches(skeleton_ds, patch_ds, key: str = "record_fp",
                                                batch_format="pyarrow")
 
 
-def merge_jsonld_patches_broadcast(skeleton_ds, patch_df, key: str = "record_fp",
-                                   doc_col: str = "jsonld"):
-    """M13, broadcast path: the patch side (LLM outputs exist only for the
-    flagged subset, typically tiny) is ``ray.put`` once and applied
-    map-side by stateless tasks — no shuffle of the skeleton stream."""
-    import pandas as pd
-    import ray
-
-    pmap_ref = ray.put(dict(zip(patch_df[key], patch_df[doc_col])))
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        pmap = ray.get(pmap_ref)
-        merged = [
-            json.dumps(merge_graph_into_skeleton(
-                json.loads(doc), json.loads(pmap[k])), sort_keys=True)
-            if k in pmap else doc
-            for k, doc in zip(df[key], df[doc_col])
-        ]
-        return df.assign(**{doc_col: merged})
-
-    return skeleton_ds.map_batches(merge, batch_format="pandas")
-
-
 def jsonld_from_transcripts(source, batch_size: int = 2048):
     """One JSON-LD document row per record (``TurnJsonLd``), as stateless
     tasks."""

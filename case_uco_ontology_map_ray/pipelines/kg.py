@@ -34,7 +34,6 @@ from ..stages.kg_stage import (
     turn_triples_fn,
 )
 
-TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # Columns the triple stage actually needs — pruned at the read.
 TRIPLE_INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
 
@@ -384,6 +383,28 @@ def _facet_definition(g: pa.Table) -> pa.Table:
                     schema=_FACET_DEF_SCHEMA)
 
 
+def _facet_signatures(t: pa.Table) -> pa.Table:
+    """Tool turns -> one (artifact_type, field_sig, sample) row per type and
+    field signature, for the types the frozen maps do not cover; the
+    smallest sample wins."""
+    from ..config import ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
+
+    atypes, sig_rows, samples = [], [], []
+    for _conv, _turn, record, atype in tool_records(t):
+        if atype in ONTOLOGY_MAPS:
+            continue
+        fields = tuple(sorted(k for k in record
+                              if k not in RESERVED_RECORD_KEYS))
+        atypes.append(atype or "")
+        sig_rows.append(json.dumps(fields))
+        samples.append(json.dumps(record, sort_keys=True))
+    t2 = pa.table({"artifact_type": pa.array(atypes, pa.string()),
+                   "field_sig": pa.array(sig_rows, pa.string()),
+                   "sample": pa.array(samples, pa.string())})
+    agg = t2.group_by(["artifact_type", "field_sig"]).aggregate([("sample", "min")])
+    return agg.rename_columns(["artifact_type", "field_sig", "sample"])
+
+
 def custom_facet_definitions(source: "str | rd.Dataset"):
     """T4 as a distributed aggregate: per artifact type (custom-facet path
     only), the deterministic dfc-ext facet definition + TTL stub inferred
@@ -394,44 +415,11 @@ def custom_facet_definitions(source: "str | rd.Dataset"):
     Precedence matches TurnTriples._mapper_for: a type the deterministic
     auto-mapper (ontology/automap.py) maps to real UCO classes never reaches
     the dfc-ext path, so it emits no custom facet here either."""
-    from ..config import ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
-
-    ds = _transcripts(source)
-    known = set(ONTOLOGY_MAPS)
-
-    def sigs(t: "pa.Table") -> "pa.Table":
-        atypes, sig_rows, samples = [], [], []
-        for _conv, _turn, record, atype in tool_records(t):
-            if atype in known:
-                continue
-            fields = tuple(sorted(k for k in record
-                                  if k not in RESERVED_RECORD_KEYS))
-            atypes.append(atype or "")
-            sig_rows.append(json.dumps(fields))
-            samples.append(json.dumps(record, sort_keys=True))
-        t2 = pa.table({"artifact_type": pa.array(atypes, pa.string()),
-                       "field_sig": pa.array(sig_rows, pa.string()),
-                       "sample": pa.array(samples, pa.string())})
-        # combiner: one sample per (type, signature), smallest sample wins
-        agg = t2.group_by(["artifact_type", "field_sig"]).aggregate([("sample", "min")])
-        return agg.rename_columns(["artifact_type", "field_sig", "sample"])
-
-    pre = ds.map_batches(sigs, batch_format="pyarrow")
+    pre = _transcripts(source).map_batches(_facet_signatures,
+                                           batch_format="pyarrow")
     out = pre.groupby("artifact_type").map_groups(_facet_definition,
                                                   batch_format="pyarrow")
     return out.to_pandas().sort_values("artifact_type").reset_index(drop=True)
-
-
-def sorted_turns(source: "str | rd.Dataset") -> rd.Dataset:
-    """Stable (conv_id, turn_idx) ordering of transcript turns — the per-turn
-    text-equality invariant's ordering contract (BASELINE.json input_hint)."""
-    return _transcripts(source, TRANSCRIPT_COLUMNS).sort(["conv_id", "turn_idx"])
-
-
-def write_triples(triples: rd.Dataset, out_dir: str, min_rows_per_file: int = 200_000):
-    """Partitioned parquet sink — a directory of part files, resumable via
-    the lineage manifest written next to it (state/lineage.py)."""
-    triples.write_parquet(out_dir, min_rows_per_file=min_rows_per_file)
 
 
 def incremental_triples(source: "str | rd.Dataset", prior_conv_ids: rd.Dataset,

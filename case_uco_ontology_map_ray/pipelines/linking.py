@@ -67,7 +67,7 @@ import ray.data as rd
 
 from ..config import NS_ENTITY
 from ..functions.fingerprint import uuid5_str
-from ..functions.hashing import content_hash64_arrow
+from ..functions.hashing import _mix64, content_hash64_arrow
 from ..ops import dedup
 from ..ops.agg import grouped_sums, grouped_sums_ds, plain_strings, round_away, topk_ds
 from ..ops.graph import (
@@ -1099,8 +1099,6 @@ def similar_conversations(triples: rd.Dataset, tau: float = 0.5,
     sets). Value-oracled: SQL reproduces the pair join with
     list_intersect on the per-conversation entity arrays.
     """
-    from ..ops.similarity import _mix64
-
     B = num_buckets
     mentions = mentions_from_triples(triples)
 
@@ -1194,7 +1192,7 @@ def similar_conversations_lsh(triples: rd.Dataset, tau: float = 0.5,
         _verify_jaccard,
     )
 
-    mh = MinHasher(num_perm=num_perm, seed=42)
+    mh = MinHasher(num_perm=num_perm)
     mentions = mentions_from_triples(triples)
 
     def local(t: pa.Table) -> pa.Table:

@@ -7,10 +7,7 @@ Reference semantics:
 - CSV + metadata wrapper (services.py:125-151): first CSV row wrapped into
   the {artifact_type, description, source, record} payload shape.
 
-At engine scale the same logic runs per tool-turn inside map_batches; the
-driver-side helpers here also build payloads from whole CSV/JSON files so
-users can feed artifact tables directly (``payloads_from_csv`` ->
-ray.data pipeline input).
+At engine scale the same logic runs per tool-turn inside map_batches.
 """
 
 from __future__ import annotations
@@ -67,33 +64,3 @@ def wrap_csv_payload(rows: list[dict], artifact_type: str | None,
     else:
         payload["records"] = rows
     return payload
-
-
-def payloads_from_csv(path: str, artifact_type: str, description: str = "",
-                      source: str = "", records_per_payload: int = 1):
-    """A CSV artifact table -> Dataset of payload-JSON rows shaped like tool
-    turns, so it can feed straight into the KG stage."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    ds = rd.read_csv(path)
-
-    def to_payloads(t: pa.Table) -> pa.Table:
-        rows = t.to_pylist()
-        texts = []
-        for i in range(0, len(rows), records_per_payload):
-            chunk = rows[i:i + records_per_payload]
-            texts.append(json.dumps(
-                wrap_csv_payload(chunk, artifact_type, description, source),
-                sort_keys=True,
-            ))
-        n = len(texts)
-        return pa.table({
-            "conv_id": pa.array([f"csv:{path}"] * n, pa.string()),
-            "turn_idx": pa.array(range(n), pa.int32()),
-            "role": pa.array(["tool"] * n, pa.string()),
-            "text": pa.array(texts, pa.string()),
-            "tool": pa.array(["csv_import"] * n, pa.string()),
-        })
-
-    return ds.map_batches(to_payloads, batch_format="pyarrow")

@@ -292,12 +292,6 @@ def synthesize_transcripts(out_dir: str, num_conversations: int, mean_turns: int
     ds.map_batches(gen, batch_format="pyarrow").write_parquet(out_dir)
 
 
-def read_transcripts(path: str, columns: list[str] | None = None):
-    import ray.data as rd
-
-    return rd.read_parquet(path, columns=columns)
-
-
 def read_transcripts_any(path: str, fmt: str = "parquet",
                          columns: list[str] | None = None):
     """Format-agnostic transcript reader -> Dataset with the canonical
@@ -331,15 +325,8 @@ def read_transcripts_any(path: str, fmt: str = "parquet",
             # Arrow casts ISO-8601 strings to timestamp natively (strptime
             # can't: its %f is a Python extension Arrow doesn't implement)
             ts = ts.cast(pa.string())
-        cols = {
-            "conv_id": t.column("conv_id").cast(pa.string()),
-            "turn_idx": t.column("turn_idx").cast(pa.int32()),
-            "role": t.column("role").cast(pa.string()),
-            "text": t.column("text").cast(pa.string()),
-            "tool": t.column("tool").cast(pa.string()),
-            "ts": ts.cast(pa.timestamp("us")),
-        }
-        out = pa.table(cols)
+        out = pa.table({**{n: t.column(n) for n in SCHEMA.names},
+                        "ts": ts}).cast(SCHEMA)
         return out.select(columns) if columns else out
 
     return ds.map_batches(to_canonical, batch_format="pyarrow")

@@ -10,9 +10,10 @@ stages share the same form). Each stage class is also the single-batch API:
 Every KG stage reads its records from one iterator, ``tool_records``: it
 masks the tool turns (user/assistant turns never leave Arrow), parses each
 turn's JSON once and fans the payload out into flat records, skipping text
-that does not parse or decodes to a lone surrogate, and records whose
-``artifact_type`` is not a string. Every stage that emits triples fills one
-``TripleColumns``, which owns the lineage fan-out and the Arrow layout.
+that does not parse, nests deeper than ``MAX_NESTING`` or decodes to a lone
+surrogate, and records whose ``artifact_type`` is not a string. Every stage
+that emits triples fills one ``TripleColumns``, which owns the lineage
+fan-out and the Arrow layout.
 
 Output schema (one per stage, whatever the batch holds):
     subj, pred, obj, obj_dt           (the triple + xsd/@id datatype tag)
@@ -45,6 +46,13 @@ from ..kg.records import extract_records
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# Deepest dict/list nesting of a tool-turn payload that is mapped. orjson
+# parses up to 1024 levels, but the fingerprint encoder and the mappers
+# downstream recurse once per level under Python's recursion limit (1000
+# frames, the caller's included), so a payload that parses could still
+# fail the stage. One fixed cap, well inside that limit, skips it instead,
+# whichever parser read the text and however deep the caller's stack is.
+MAX_NESTING = 512
 
 
 def _has_surrogate(payload) -> bool:
@@ -64,12 +72,27 @@ def _has_surrogate(payload) -> bool:
     return False
 
 
+def _too_deep(payload) -> bool:
+    """True when ``payload`` nests dicts/lists more than ``MAX_NESTING``
+    levels deep."""
+    stack = [(payload, 1)]
+    while stack:
+        o, depth = stack.pop()
+        to = type(o)
+        if to is dict or to is list:
+            if depth > MAX_NESTING:
+                return True
+            stack.extend((v, depth + 1) for v in (o.values() if to is dict else o))
+    return False
+
+
 def tool_records(batch: pa.Table) -> Iterator[tuple[str, int, dict, "str | None"]]:
     """Yield ``(conv_id, turn_idx, record, artifact_type)`` for every record
     of every non-empty tool turn of ``batch``, in batch order. Skipped: text
     that does not parse (malformed, or nested past the parser's depth), text
-    that decodes to a lone surrogate, and records whose ``artifact_type`` is
-    neither absent nor a string."""
+    nested more than ``MAX_NESTING`` deep, text that decodes to a lone
+    surrogate, and records whose ``artifact_type`` is neither absent nor a
+    string."""
     mask = pc.and_(pc.equal(batch.column("role"), "tool"),
                    pc.not_equal(batch.column("text"), ""))
     tool_turns = batch.filter(mask)
@@ -79,6 +102,12 @@ def tool_records(batch: pa.Table) -> Iterator[tuple[str, int, dict, "str | None"
         try:
             payload = loads_fast(text)
         except (ValueError, TypeError, RecursionError):
+            continue
+        # every level of nesting opens and closes a bracket, so most texts
+        # skip the counts and nearly all skip the walk
+        if (len(text) > 2 * MAX_NESTING
+                and text.count("{") + text.count("[") > MAX_NESTING
+                and _too_deep(payload)):
             continue
         # a surrogate can only come from a \uXXXX escape in the text
         if ("\\ud" in text or "\\uD" in text) and _has_surrogate(payload):

@@ -33,55 +33,6 @@ def test_exact_dedup_keeps_min_id():
     assert kept == [0, 1, 2, 3]  # doc 4 is an exact dup of doc 0
 
 
-def test_minhash_lsh_clusters_near_dups():
-    from case_uco_ontology_map_ray.ops.dedup import minhash_lsh_dedup
-
-    out = minhash_lsh_dedup(_docs_with_dups(), num_perm=64, bands=32,
-                            shingle_k=3, tau=0.4).to_pandas()
-    cl = dict(zip(out.doc_id, out.cluster_id))
-    assert cl[0] == cl[4] == 0       # exact dups share a cluster
-    assert cl[1] == 0                # near dup joins the cluster
-    assert cl[2] == 2 and cl[3] == 3  # unrelated docs stay singletons
-
-
-def test_minhash_small_matches_distributed():
-    """The collected small band path must emit the identical clustering to
-    the two-exchange distributed path (small_band_rows=0 forces it)."""
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.dedup import minhash_lsh_dedup
-
-    rng = np.random.RandomState(7)
-    words = ["alpha", "beta", "gamma", "delta", "echo", "fox", "golf",
-             "hotel", "india", "julia", "kilo", "lima"]
-    rows = []
-    for i in range(240):
-        base = [words[j] for j in rng.randint(0, len(words), 12)]
-        rows.append({"doc_id": 3 * i, "text": " ".join(base)})
-        mut = list(base)
-        mut[rng.randint(0, len(mut))] = words[rng.randint(0, len(words))]
-        rows.append({"doc_id": 3 * i + 1, "text": " ".join(mut)})  # near dup
-        rows.append({"doc_id": 3 * i + 2, "text": " ".join(base)})  # exact dup
-    ds = rd.from_items(rows).repartition(6)
-
-    kw = dict(num_perm=32, bands=16, shingle_k=2, tau=0.5)
-    driver = minhash_lsh_dedup(ds, **kw).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    small = minhash_lsh_dedup(ds, driver_sketch_bytes=0, **kw).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    dist = minhash_lsh_dedup(ds, small_band_rows=0, **kw).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(small, dist)
-    # the all-driver path (default at this scale) pins the same clustering
-    pd.testing.assert_frame_equal(driver.astype(small.dtypes.to_dict()),
-                                  small)
-    # sanity: near/exact dups actually clustered
-    assert (driver.groupby("cluster_id").size() > 1).any()
-    # sanity: the planted exact dups actually cluster
-    cl = dict(zip(small.doc_id, small.cluster_id))
-    assert cl[0] == cl[2]
-
-
 def test_simhash_groups_near_dups():
     from case_uco_ontology_map_ray.ops.dedup import simhash_groups
 
@@ -162,27 +113,13 @@ def test_ivf_persisted_index_full_probe_is_exact(tmp_path):
     assert len(set(pruned["vec_id"]) & set(exact["vec_id"])) >= 7
 
 
-def test_lang_id_prefers_profile_language():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import lang_id
-
-    ds = rd.from_items([
-        {"doc_id": 0, "text": "the cat and the dog of a house in that city"},
-        {"doc_id": 1, "text": "der hund und die katze ist nicht mit der maus"},
-        {"doc_id": 2, "text": "le chat et le chien est dans la maison pour un jour"},
-    ])
-    out = lang_id(ds).to_pandas().sort_values("doc_id")
-    assert list(out.pred_lang) == ["en", "de", "fr"]
-
-
 def test_quality_scores_schema_and_range():
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.ops.text import quality_scores
+    from case_uco_ontology_map_ray.ops.text import QualityScorer
 
     ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-    out = quality_scores(ds).to_pandas()
+    out = ds.map_batches(QualityScorer(), batch_format="pyarrow").to_pandas()
     assert len(out) == 500
     assert out.quality_score.between(0, 1).all()
     assert out.punct_ratio.between(0, 1).all()
@@ -224,14 +161,15 @@ def test_quality_scorer_matches_per_row_reference(ray_session):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.ops.text import _LANG_PROFILES, quality_scores
+    from case_uco_ontology_map_ray.ops.text import _LANG_PROFILES, QualityScorer
 
     real = pq.read_table(f"{SF}/documents.parquet",
                          columns=["doc_id", "text"]).to_pylist()
     rows = real + [{"doc_id": 10_000 + i, "text": x}
                    for i, x in enumerate(TRICKY_TEXTS)]
     ds = rd.from_items(rows)
-    got = quality_scores(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    got = (ds.map_batches(QualityScorer(), batch_format="pyarrow").to_pandas()
+           .sort_values("doc_id").reset_index(drop=True))
     stop = _LANG_PROFILES["en"]
     want = sorted(rows, key=lambda r: r["doc_id"])
     for i, r in enumerate(want):
@@ -242,46 +180,6 @@ def test_quality_scorer_matches_per_row_reference(ray_session):
         assert got.punct_ratio[i] == round_away(pr, 4), (r, got.iloc[i])
         assert got.stopword_ratio[i] == round_away(sr, 4), (r, got.iloc[i])
         assert got.upper_ratio[i] == round_away(ur, 4), (r, got.iloc[i])
-
-
-def test_lang_id_matches_per_row_reference(ray_session):
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import _LANG_PROFILES, lang_id
-
-    real = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pylist()
-    rows = real + [{"doc_id": 10_000 + i, "text": x}
-                   for i, x in enumerate(TRICKY_TEXTS)]
-    ds = rd.from_items(rows)
-    got = lang_id(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    import re
-
-    word = re.compile(r"\w+", re.UNICODE)
-    for i, r in enumerate(sorted(rows, key=lambda x: x["doc_id"])):
-        toks = [w.lower() for w in word.findall(r["text"])]
-        nt = len(toks) or 1
-        best_lang, best = "und", 0.0
-        for lang, prof in _LANG_PROFILES.items():
-            s = sum(1 for w in toks if w in prof) / nt
-            if s > best:
-                best_lang, best = lang, s
-        assert got.pred_lang[i] == best_lang, (r, got.iloc[i])
-        assert got.lang_score[i] == round_away(best, 4), (r, got.iloc[i])
-
-
-def test_rolling_fingerprints_deterministic():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import rolling_fingerprints
-
-    ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"]).limit(20)
-    a = rolling_fingerprints(ds).to_pandas().sort_values("doc_id")
-    b = rolling_fingerprints(ds).to_pandas().sort_values("doc_id")
-    assert list(map(list, a.fingerprint)) == list(map(list, b.fingerprint))
 
 
 def test_embedding_neardup_bucketpair_matches_bruteforce():
@@ -325,32 +223,6 @@ def test_embedding_neardup_lsh_recall():
     lp = set(zip(lsh.id_a, lsh.id_b))
     assert lp <= ep                       # exact verify => no false positives
     assert len(lp & ep) / max(1, len(ep)) >= 0.8
-
-
-def test_bpe_token_stats_vectorized():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import BPE_SPLIT_PATTERN, bpe_token_stats
-
-    import re
-    docs = ["hello world42!", "a-b_c", "", "123 456"]
-    ds = rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(docs)])
-    out = bpe_token_stats(ds).to_pandas().sort_values("doc_id")
-    # RE2 pattern subset is valid Python re too -> cross-check per doc
-    want = [len(re.findall(BPE_SPLIT_PATTERN, t)) for t in docs]
-    assert out["n_bpe_tokens"].tolist() == want
-
-
-def test_length_quantiles_exact():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import length_quantiles
-
-    texts = ["x" * n for n in [1, 2, 3, 4, 100]]
-    ds = rd.from_items([{"text": t} for t in texts])
-    q = length_quantiles(ds, qs=(0.5, 0.75))
-    assert q[0.5] == 3.0          # median of 1,2,3,4,100
-    assert q[0.75] == 4.0         # h = 3.0 exactly
 
 
 def test_top_bigrams_boundaries(tmp_path):
@@ -415,38 +287,6 @@ def test_ngram_jaccard_exact_matches_bruteforce():
     # sanity: the planted near-dups and the identical short docs are found
     assert (0, 1) in {(a, b) for a, b, _ in got_tuples}
     assert (4, 5, 1.0) in got_tuples
-
-
-def test_repetition_stats_against_python_oracle():
-    import re
-    from collections import Counter
-
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.agg import round_away
-    from case_uco_ontology_map_ray.ops.text import repetition_stats
-
-    docs = [
-        "the cat the cat the cat",           # heavy word + bigram repetition
-        "one two three four five",           # no repetition
-        "a\nb\na\nb\nc",                     # duplicate lines
-        "",                                  # empty
-        "word",                              # single token, no bigrams
-    ]
-    ds = rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(docs)])
-    got = repetition_stats(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    for i, text in enumerate(docs):
-        words = [w for w in re.split(r"[^\w]+", text, flags=re.UNICODE) if w]
-        lines = [l for l in text.split("\n") if l]
-        bgs = Counter(zip(words, words[1:]))
-        dw = 1 - len(set(words)) / len(words) if words else 0.0
-        dl = 1 - len(set(lines)) / len(lines) if lines else 0.0
-        tb = max(bgs.values()) / sum(bgs.values()) if bgs else 0.0
-        row = got.iloc[i]
-        assert row.dup_word_frac == float(round_away(dw, 4)), (i, row.dup_word_frac, dw)
-        assert row.dup_line_frac == float(round_away(dl, 4)), (i, row.dup_line_frac, dl)
-        assert row.top_bigram_frac == float(round_away(tb, 4)), (i, row.top_bigram_frac, tb)
 
 
 def test_deterministic_sampling_matches_reference_rule():
@@ -514,32 +354,6 @@ def test_mix64_sampling_vectorized_default():
     assert set(en.doc_id) == {i for i in en_only if i % 3 == 0}
 
 
-def test_pack_sequences_invariants():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import pack_sequences
-
-    rng = np.random.RandomState(5)
-    rows = [{"doc_id": i, "text": " ".join(["tok"] * int(rng.randint(1, 80)))}
-            for i in range(300)]
-    ds = rd.from_items(rows)
-    out = pack_sequences(ds, max_tokens=128).to_pandas()
-
-    assert sorted(out.doc_id) == list(range(300))        # no doc lost
-    fills = out.groupby("pack_id").n_tokens.sum()
-    assert (fills <= 128).all()                           # capacity respected
-    # packing is dense: no two consecutive packs in a bucket could merge
-    # (greedy guarantee); cheap proxy: mean fill is a decent fraction
-    assert fills.mean() > 64
-
-    # deterministic under different partitionings
-    out2 = pack_sequences(rd.from_items(rows).repartition(7),
-                          max_tokens=128).to_pandas()
-    a = out.sort_values("doc_id").reset_index(drop=True)
-    b = out2.sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_kmeans_fit_invariants(ray_session):
     """Distributed spherical k-means: inertia non-increasing, every vector
     assigned, deterministic at a fixed partitioning."""
@@ -592,79 +406,13 @@ def test_word_grams_respect_doc_boundaries_and_edges(ray_session):
     assert len(d4) == 4 and "a b c d" in d4
 
 
-def test_mix_bucket_string_keys_deterministic(ray_session):
-    """String keys bucket deterministically and equal keys co-locate, so
-    bucket_semi_join on a string column is exact."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.joins import _mix_bucket, bucket_semi_join
-
-    keys = pa.chunked_array([pa.array(["alpha", "beta", "alpha", "gamma"])])
-    b1 = _mix_bucket(keys, 16).to_pylist()
-    b2 = _mix_bucket(keys, 16).to_pylist()
-    assert b1 == b2 and b1[0] == b1[2]
-
-    left = rd.from_arrow(pa.table({"gram": ["a b", "c d", "e f"],
-                                   "doc": [1, 2, 3]}))
-    right = rd.from_arrow(pa.table({"gram": ["c d", "zz"]}))
-    out = bucket_semi_join(left, right, on="gram", num_buckets=4).to_pandas()
-    assert out.doc.tolist() == [2]
-
-
-def test_incremental_exact_dedup(ray_session):
-    """New-shard docs drop when their text exists in the prior corpus; dups
-    WITHIN the shard keep min id; the prior side never contributes ids."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.dedup import incremental_exact_dedup
-
-    prior = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": ["old news", "shared text"],
-    }))
-    new = rd.from_arrow(pa.table({
-        "doc_id": pa.array([10, 11, 12, 13], pa.int64()),
-        "text": ["shared text",      # dup vs prior -> dropped
-                 "fresh a", "fresh a",  # in-shard dup -> min id 11
-                 "fresh b"],
-    }))
-    out = incremental_exact_dedup(new, prior).to_pandas()
-    assert sorted(out.doc_id.tolist()) == [11, 13]
-
-
-def test_grouped_length_quantiles_match_numpy(ray_session):
-    """Per-group counting-histogram quantiles equal numpy's linear
-    (quantile_cont) interpolation per group, including odd group sizes."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import grouped_length_quantiles
-
-    rng = np.random.default_rng(3)
-    texts, langs = [], []
-    for lang, n in (("en", 37), ("de", 5), ("zh", 1)):
-        for ln in rng.integers(1, 40, n):
-            texts.append("x" * int(ln))
-            langs.append(lang)
-    ds = rd.from_arrow(pa.table({"text": texts, "lang": langs}))
-    out = grouped_length_quantiles(ds, "lang", qs=(0.5, 0.9)).set_index("lang")
-
-    df = pd.DataFrame({"lang": langs, "ln": [len(t) for t in texts]})
-    for lang, sub in df.groupby("lang"):
-        assert out.loc[lang, "q50"] == pytest.approx(np.percentile(sub.ln, 50))
-        assert out.loc[lang, "q90"] == pytest.approx(np.percentile(sub.ln, 90))
-
-
 def test_exact_dedup_poly128_matches_md5_mode():
     """r5: the vectorized poly128 content hash is the default exact-dedup
     key; md5 stays as the documented oracle twin. Both modes must keep the
     identical id set (the hash only partitions by content)."""
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.ops.dedup import (
-        exact_dedup, incremental_exact_dedup)
+    from case_uco_ontology_map_ray.ops.dedup import exact_dedup
 
     rows = [{"doc_id": i, "text": t} for i, t in enumerate(
         ["alpha", "beta", "alpha", "", "beta", "gamma", "", "alpha x"])]
@@ -673,36 +421,6 @@ def test_exact_dedup_poly128_matches_md5_mode():
     kept_md5 = sorted(r["doc_id"] for r in
                       exact_dedup(ds, hash_mode="md5").take_all())
     assert kept_poly == kept_md5 == [0, 1, 3, 5, 7]
-
-    new = rd.from_items(rows[4:])
-    prior = rd.from_items(rows[:4])
-    inc_poly = sorted(r["doc_id"] for r in
-                      incremental_exact_dedup(new, prior).take_all())
-    inc_md5 = sorted(r["doc_id"] for r in
-                     incremental_exact_dedup(new, prior, hash_mode="md5").take_all())
-    assert inc_poly == inc_md5 == [5, 7]
-
-
-def test_grouped_length_quantiles_empty_and_allnull_inputs():
-    """r5 ADVICE: empty input (or all-null text) returns a schema-stable
-    empty frame instead of KeyError'ing the caller's sort."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import grouped_length_quantiles
-
-    empty = rd.from_arrow(pa.table({"lang": pa.array([], pa.string()),
-                                    "text": pa.array([], pa.string())}))
-    out = grouped_length_quantiles(empty, "lang")
-    assert list(out.columns) == ["lang", "q50", "q90"] and out.empty
-    out.sort_values("lang")  # the caller's next move must not raise
-
-    nulls = rd.from_arrow(pa.table({"lang": pa.array(["en", "de"], pa.string()),
-                                    "text": pa.array([None, "abc"], pa.string())}))
-    out2 = grouped_length_quantiles(nulls, "lang")
-    # the all-null group contributes no histogram rows; the real group works
-    assert out2["lang"].tolist() == ["de"]
-    assert out2["q50"].tolist() == [3.0]
 
 
 def test_kmeans_fit_tolerates_empty_blocks(ray_session):
@@ -723,39 +441,6 @@ def test_kmeans_fit_tolerates_empty_blocks(ray_session):
     cents, hist = kmeans_fit(ds, n_clusters=2, n_iter=3)
     assert cents.shape == (2, 2)
     assert sum(hist[-1]["sizes"]) == 40
-
-
-def test_redact_pii_families_and_order(ray_session):
-    """Each family redacts its tokens; sequential semantics: digit runs
-    inside an email are gone before the num family, pure-digit runs never
-    double-count as hex, and clean text passes through byte-identical."""
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import redact_pii
-
-    rows = {
-        "doc_id": [1, 2, 3, 4],
-        "text": [
-            "reach me: a.user+tag@sub.example.org from 192.168.0.254",
-            "ssn 123-45-6789, acct 0012345678, sha D8414F97ab12",
-            "digits 123456789 are num NOT hex; beef1234 is hex",
-            "short 12345 and CAFE are untouched",
-        ],
-    }
-    out = (redact_pii(rd.from_arrow(pa.table(rows)))
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert out["red_text"].tolist() == [
-        "reach me: <EMAIL> from <IP>",
-        "ssn <SSN>, acct <NUM>, sha <HEX>",
-        "digits <NUM> are num NOT hex; <HEX> is hex",
-        "short 12345 and CAFE are untouched",
-    ]
-    assert out[["n_email", "n_ipv4", "n_ssn", "n_num", "n_hex"]].values.tolist() == [
-        [1, 1, 0, 0, 0],
-        [0, 0, 1, 1, 1],
-        [0, 0, 0, 1, 1],
-        [0, 0, 0, 0, 0],
-    ]
 
 
 def test_unigram_lm_scores_hand_computed(ray_session, tmp_path):
@@ -875,57 +560,6 @@ def test_quantized_topk_beam_recall(ray_session):
     assert recall >= 0.9
 
 
-def test_compression_ratios_repetition_signal(ray_session):
-    """Repetitive text compresses far below prose-like text; empty docs get
-    ratio 0; output deterministic across partitioning."""
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import compression_ratios
-
-    rng = np.random.default_rng(9)
-    prose = " ".join(rng.choice([f"w{i}" for i in range(800)], 300))
-    spam = "buy now click here " * 75
-    t = pa.table({"doc_id": [1, 2, 3], "text": [prose, spam, ""]})
-    out = (compression_ratios(rd.from_arrow(t)).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    assert out.loc[2, "ratio"] == 0.0 and out.loc[2, "raw_bytes"] == 0
-    assert out.loc[1, "ratio"] < out.loc[0, "ratio"] * 0.5
-    out2 = (compression_ratios(rd.from_arrow(t).repartition(3)).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    assert out.equals(out2)
-
-
-def test_build_inverted_index_exact_postings():
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import build_inverted_index
-
-    tab = pa.table({
-        "doc_id": pa.array([7, 3, 9], pa.int64()),
-        "text": ["a b a", "b c", "  a   c  c "],
-    })
-    # two blocks so a term's postings span input batches
-    ds = rd.from_arrow(tab).repartition(2)
-    out = build_inverted_index(ds).to_pandas().set_index("term")
-    got = {t: (r.df, r.tf_total, r.postings) for t, r in out.iterrows()}
-    assert got["a"] == (2, 3, "7,9")
-    assert got["b"] == (2, 2, "3,7")
-    assert got["c"] == (2, 3, "3,9")
-
-
-def test_build_inverted_index_empty_and_whitespace_only_docs():
-    import pyarrow as pa
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.text import build_inverted_index
-
-    tab = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
-                    "text": ["", "   "]})
-    out = build_inverted_index(rd.from_arrow(tab)).to_pandas()
-    assert len(out) == 0
-
-
 def test_semdedup_prunes_planted_neardups_keeps_min_id():
     import numpy as np
     import pyarrow as pa
@@ -981,27 +615,6 @@ def test_semdedup_empty_corpus_is_schema_stable():
     # no crash, zero rows; Ray may drop the schema of a fully-empty lineage
     assert len(out) == 0
     assert set(out.columns) <= {"vec_id", "cluster", "keep"}
-
-
-def test_crosscorpus_jaccard_exact_only_cross_pairs():
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.dedup import crosscorpus_jaccard_exact
-
-    train = rd.from_items([
-        {"doc_id": 1, "text": "a b c d e f g h"},       # near-copy of holdout 10
-        {"doc_id": 2, "text": "x y z q w e r t"},
-        {"doc_id": 3, "text": "a b c d e f g h"},       # exact copy of train 1
-    ])
-    holdout = rd.from_items([
-        {"doc_id": 10, "text": "a b c d e f g zz"},
-        {"doc_id": 11, "text": "totally different words here now ok fine yes"},
-    ])
-    out = crosscorpus_jaccard_exact(train, holdout, shingle_k=3, tau=0.3)
-    got = set(zip(out.test_id, out.train_id))
-    # cross pairs only: the train-train exact dup (1,3) must NOT appear
-    assert got == {(10, 1), (10, 3)}
-    assert (out.jac > 0.3).all()
 
 
 def test_bm25_search_hand_computed(ray_session, tmp_path):

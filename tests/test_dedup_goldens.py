@@ -1,6 +1,8 @@
 """Regression goldens for the near-dedup operators: the distributed round-2
 implementation must reproduce the pinned round-1 outputs byte-for-byte
-(tests/goldens/dedup/*, see scripts/pin_dedup_goldens.py)."""
+(tests/goldens/dedup/*). MinHash-LSH, the KG's near-dup kernel, is called
+directly on the documents; SimHash and n-gram Jaccard through the corpus
+library."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from case_uco_ontology_map_ray.ops import dedup as dd
 from case_uco_ontology_map_ray.pipelines import corpus
 
 GOLDEN = Path(__file__).parent / "goldens" / "dedup"
@@ -20,8 +23,28 @@ def _golden(name: str) -> pd.DataFrame:
     return pd.read_csv(GOLDEN / f"{name}_sf0.001.csv")
 
 
+def _minhash_documents() -> pd.DataFrame:
+    """``minhash_lsh_dedup`` at its defaults over the documents, in doc_id
+    order with int64 columns."""
+    docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    out = dd.minhash_lsh_dedup(docs).to_pandas()
+    return (out.astype({"doc_id": "int64", "cluster_id": "int64"})
+            .sort_values("doc_id").reset_index(drop=True))
+
+
+def _py_simhash64(shingles) -> int:
+    """Pure-Python SimHash of a shingle-hash set: bit i is set when more
+    than half of the shingles have it set (0 for the empty set)."""
+    out = 0
+    for bit in range(64):
+        ones = sum((int(h) >> bit) & 1 for h in shingles)
+        if 2 * ones > len(shingles):
+            out |= 1 << bit
+    return out
+
+
 def test_minhash_matches_golden(ray_session):
-    got = corpus.dedup_minhash_documents(SF)
+    got = _minhash_documents()
     want = _golden("minhash")
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -46,11 +69,12 @@ def test_simhash_independent_oracle(ray_session):
     the component min — must produce the same (doc_id, group_id) table."""
     import pyarrow.parquet as pq
 
-    from case_uco_ontology_map_ray.functions.hashing import simhash64, word_shingles
+    from case_uco_ontology_map_ray.functions.hashing import word_shingles_batch
 
     t = pq.read_table(SF + "/documents.parquet", columns=["doc_id", "text"])
     docs = dict(zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()))
-    sims = {d: simhash64(word_shingles(x, 3)) for d, x in docs.items()}
+    sims = {d: _py_simhash64(word_shingles_batch([x], 3)[0])
+            for d, x in docs.items()}
 
     buckets: dict = {}
     for d in sims:
@@ -92,8 +116,6 @@ def test_minhash_no_driver_text_materialization(ray_session):
     import numpy as np
     import pyarrow as pa
 
-    from case_uco_ontology_map_ray.ops import dedup as dd
-
     n = 60
     rng = np.random.RandomState(0)
     texts = [" ".join(f"tok{rng.randint(40)}" for _ in range(30)) for _ in range(n)]
@@ -109,8 +131,8 @@ def test_minhash_no_driver_text_materialization(ray_session):
 
 def test_vectorized_popcount_exact():
     """The byte-table popcount must equal bin(x).count('1') on exact uint64 —
-    round 1 grouped on float64-corrupted fingerprints (see
-    scripts/pin_dedup_goldens.py); this pins the fixed kernel."""
+    round 1 grouped on float64-corrupted fingerprints; this pins the fixed
+    kernel."""
     import numpy as np
 
     from case_uco_ontology_map_ray.ops.dedup import _POPCOUNT8
@@ -153,9 +175,7 @@ def test_propagate_components_distributed_path(ray_session):
 def test_verify_join_fallback_equals_broadcast(ray_session, monkeypatch):
     """Above BROADCAST_VERIFY_THRESHOLD the verify stage falls back to
     bucketed joins — force that path and assert identical clustering."""
-    from case_uco_ontology_map_ray.ops import dedup as dd
-
-    got_broadcast = corpus.dedup_minhash_documents(SF)
+    got_broadcast = _minhash_documents()
     monkeypatch.setattr(dd, "BROADCAST_VERIFY_THRESHOLD", 0)
-    got_join = corpus.dedup_minhash_documents(SF)
+    got_join = _minhash_documents()
     pd.testing.assert_frame_equal(got_join, got_broadcast)

@@ -1,108 +1,8 @@
-"""Edit-distance join kernel/plan + CountMin sketch + incremental-state
-merge — the session-9 operator additions."""
+"""CountMin sketch + incremental-state merge — the session-9 operator
+additions."""
 
 import numpy as np
 import pandas as pd
-import pytest
-
-
-def _ref_lev_bytes(a: str, b: str) -> int:
-    """Scalar byte-level Levenshtein (DuckDB semantics) — the pinned
-    reference for the vectorized kernel."""
-    x, y = a.encode("utf-8"), b.encode("utf-8")
-    m, n = len(x), len(y)
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1,
-                         prev[j - 1] + (x[i - 1] != y[j - 1]))
-        prev = cur
-    return prev[n]
-
-
-def test_levenshtein_kernel_matches_scalar_reference():
-    import random
-
-    from case_uco_ontology_map_ray.ops.editdist import levenshtein_pairs
-
-    random.seed(11)
-    pool = "abcdé中 xyz"
-    a = ["".join(random.choices(pool, k=random.randint(0, 14)))
-         for _ in range(300)] + ["", "", "abc"]
-    b = ["".join(random.choices(pool, k=random.randint(0, 14)))
-         for _ in range(300)] + ["", "xy", "abc"]
-    got = levenshtein_pairs(a, b)
-    exp = [_ref_lev_bytes(s, t) for s, t in zip(a, b)]
-    assert list(got) == exp
-
-
-def test_levenshtein_kernel_matches_duckdb_byte_semantics():
-    import duckdb
-
-    from case_uco_ontology_map_ray.ops.editdist import levenshtein_pairs
-
-    # DuckDB's levenshtein is byte-level: multibyte chars count per byte
-    a, b = ["é", "中", "naïve"], ["e", "", "naive"]
-    got = list(levenshtein_pairs(a, b))
-    con = duckdb.connect()
-    exp = [con.execute("SELECT levenshtein(?, ?)", [x, y]).fetchone()[0]
-           for x, y in zip(a, b)]
-    assert got == exp == [2, 3, 2]
-
-
-def test_levenshtein_sliced_array_zero_copy_path():
-    import pyarrow as pa
-
-    from case_uco_ontology_map_ray.ops.editdist import levenshtein_pairs_arrow
-
-    arr = pa.array(["kitten", "sitting", "flaw", "lawn", "", "abc"])
-    got = levenshtein_pairs_arrow(arr.slice(2, 3), arr.slice(0, 3))
-    assert list(got) == [_ref_lev_bytes("flaw", "kitten"),
-                         _ref_lev_bytes("lawn", "sitting"),
-                         _ref_lev_bytes("", "flaw")]
-
-
-def test_edit_distance_pairs_matches_bruteforce(ray_session):
-    import random
-
-    import ray.data as rd
-
-    from case_uco_ontology_map_ray.ops.editdist import edit_distance_pairs
-
-    random.seed(5)
-    base = ["red widget", "blue widget", "small ring", "smell ring",
-            "copper pipe", "coper pipe", "x", ""]
-    rows = []
-    for i in range(240):
-        g = f"g{i % 3}"
-        name = random.choice(base)
-        if random.random() < 0.4:  # random single edit
-            pos = random.randrange(max(len(name), 1))
-            name = name[:pos] + random.choice("abz ") + name[pos + 1:]
-        rows.append({"g": g, "id": i, "name": name})
-    df = pd.DataFrame(rows)
-    d = 2
-    ds = rd.from_pandas(df).repartition(6)
-    got = (edit_distance_pairs(ds, "g", "id", "name", d=d, num_buckets=8)
-           .to_pandas().sort_values(["k1", "k2"]).reset_index(drop=True))
-
-    exp_rows = []
-    for g, sub in df.groupby("g"):
-        recs = sub.to_dict("records")
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                a, b = recs[i], recs[j]
-                dist = _ref_lev_bytes(a["name"], b["name"])
-                if dist <= d:
-                    k1, k2 = sorted((a["id"], b["id"]))
-                    exp_rows.append({"g": g, "k1": k1, "k2": k2,
-                                     "dist": dist})
-    exp = (pd.DataFrame(exp_rows).sort_values(["k1", "k2"])
-           .reset_index(drop=True).astype({"k1": "int64", "k2": "int64",
-                                           "dist": "int64"}))
-    assert len(got) == len(exp) and len(exp) > 0
-    pd.testing.assert_frame_equal(got[["g", "k1", "k2", "dist"]], exp)
 
 
 def test_countmin_overestimates_and_merge_invariance():

@@ -113,12 +113,10 @@ def test_merge_graph_into_skeleton_reference_semantics():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_merge_jsonld_patches_bucketed_and_broadcast_agree():
-    import pandas as pd
+def test_merge_jsonld_patches_patches_and_drops_orphans():
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.pipelines.jsonld import (
-        merge_jsonld_patches, merge_jsonld_patches_broadcast)
+    from case_uco_ontology_map_ray.pipelines.jsonld import merge_jsonld_patches
 
     def doc(i, extra=None):
         node = {"@id": f"kb:n{i}", "@type": "T"}
@@ -138,12 +136,8 @@ def test_merge_jsonld_patches_bucketed_and_broadcast_agree():
 
     out_b = merge_jsonld_patches(skel, patches).to_pandas() \
         .sort_values("record_fp").reset_index(drop=True)
-    out_bc = merge_jsonld_patches_broadcast(
-        skel, pd.DataFrame(patch_rows)).to_pandas() \
-        .sort_values("record_fp").reset_index(drop=True)
 
-    assert len(out_b) == 20 and len(out_bc) == 20       # orphan dropped
-    pd.testing.assert_frame_equal(out_b, out_bc)
+    assert len(out_b) == 20                             # orphan dropped
     merged = json.loads(
         out_b.loc[out_b.record_fp == "fp4", "jsonld"].iloc[0])
     assert merged["@graph"][0]["x:p"] == 4              # patched

@@ -75,7 +75,6 @@ def test_pipeline_end_to_end(tmp_path):
     from case_uco_ontology_map_ray.pipelines.kg import (
         distinct_triples,
         triples_from_transcripts,
-        write_triples,
     )
     from case_uco_ontology_map_ray.sources.transcripts import synthesize_transcripts
 
@@ -84,7 +83,7 @@ def test_pipeline_end_to_end(tmp_path):
 
     triples = triples_from_transcripts(src, batch_size=512)
     out_dir = str(tmp_path / "triples")
-    write_triples(triples, out_dir)
+    triples.write_parquet(out_dir)
 
     back = rd.read_parquet(out_dir)
     n = back.count()

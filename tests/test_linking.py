@@ -1,5 +1,6 @@
 """Entity linking / canonicalization tests."""
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -842,3 +843,65 @@ def test_graph_core_runs_the_triple_stage_once(monkeypatch, tmp_path):
     _on_datasets(monkeypatch)
     entity_pagerank(triples, iters=1, k=5)
     assert sum(map(int, log.read_text().split())) == tab.num_rows
+
+
+def _docs_with_dups():
+    import ray.data as rd
+
+    base = [
+        "the quick brown fox jumps over the lazy dog and runs far away",
+        "the quick brown fox jumps over the lazy dog and runs far off",
+        "completely different content about database query engines and joins",
+        "another unrelated document mentioning streams windows and watermarks",
+        "the quick brown fox jumps over the lazy dog and runs far away",  # exact dup of 0
+    ]
+    return rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(base)])
+
+
+def test_minhash_lsh_clusters_near_dups():
+    from case_uco_ontology_map_ray.ops.dedup import minhash_lsh_dedup
+
+    out = minhash_lsh_dedup(_docs_with_dups(), num_perm=64, bands=32,
+                            shingle_k=3, tau=0.4).to_pandas()
+    cl = dict(zip(out.doc_id, out.cluster_id))
+    assert cl[0] == cl[4] == 0       # exact dups share a cluster
+    assert cl[1] == 0                # near dup joins the cluster
+    assert cl[2] == 2 and cl[3] == 3  # unrelated docs stay singletons
+
+
+def test_minhash_small_matches_distributed():
+    """The collected small band path must emit the identical clustering to
+    the two-exchange distributed path (small_band_rows=0 forces it)."""
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.ops.dedup import minhash_lsh_dedup
+
+    rng = np.random.RandomState(7)
+    words = ["alpha", "beta", "gamma", "delta", "echo", "fox", "golf",
+             "hotel", "india", "julia", "kilo", "lima"]
+    rows = []
+    for i in range(240):
+        base = [words[j] for j in rng.randint(0, len(words), 12)]
+        rows.append({"doc_id": 3 * i, "text": " ".join(base)})
+        mut = list(base)
+        mut[rng.randint(0, len(mut))] = words[rng.randint(0, len(words))]
+        rows.append({"doc_id": 3 * i + 1, "text": " ".join(mut)})  # near dup
+        rows.append({"doc_id": 3 * i + 2, "text": " ".join(base)})  # exact dup
+    ds = rd.from_items(rows).repartition(6)
+
+    kw = dict(num_perm=32, bands=16, shingle_k=2, tau=0.5)
+    driver = minhash_lsh_dedup(ds, **kw).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    small = minhash_lsh_dedup(ds, driver_sketch_bytes=0, **kw).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    dist = minhash_lsh_dedup(ds, small_band_rows=0, **kw).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(small, dist)
+    # the all-driver path (default at this scale) pins the same clustering
+    pd.testing.assert_frame_equal(driver.astype(small.dtypes.to_dict()),
+                                  small)
+    # sanity: near/exact dups actually clustered
+    assert (driver.groupby("cluster_id").size() > 1).any()
+    # sanity: the planted exact dups actually cluster
+    cl = dict(zip(small.doc_id, small.cluster_id))
+    assert cl[0] == cl[2]

@@ -14,7 +14,7 @@ def test_sorted_turns_preserves_text_under_stable_ordering(tmp_path):
     sort must reproduce the generator's text column exactly."""
     import ray.data as rd
 
-    from case_uco_ontology_map_ray.pipelines.kg import sorted_turns
+    from case_uco_ontology_map_ray.pipelines.kg import read_kg
     from case_uco_ontology_map_ray.sources.transcripts import (
         conversations_table,
         synthesize_transcripts,
@@ -23,7 +23,8 @@ def test_sorted_turns_preserves_text_under_stable_ordering(tmp_path):
     src = str(tmp_path / "t")
     synthesize_transcripts(src, num_conversations=10, mean_turns=9,
                            conversations_per_block=3)
-    got = sorted_turns(src).to_pandas()
+    got = (read_kg(src, ["conv_id", "turn_idx", "text"])
+           .sort(["conv_id", "turn_idx"]).to_pandas())
 
     want = conversations_table(range(10), 9).to_pandas()
     want = want.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)

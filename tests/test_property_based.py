@@ -1,6 +1,7 @@
 """Hypothesis property tests for the deterministic KG core: structural
 invariants must hold for ARBITRARY records, not just fixtures."""
 
+import functools
 import json
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from case_uco_ontology_map_ray.config import ONTOLOGY_MAPS, RESERVED_RECORD_KEYS
 from case_uco_ontology_map_ray.kg.mapper import ArtifactMapper
 from case_uco_ontology_map_ray.ontology.validate import allowed_value_forms
+from case_uco_ontology_map_ray.stages.kg_stage import MAX_NESTING
 
 field_names = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters="_"),
@@ -83,16 +85,19 @@ def test_fingerprint_is_canonical_json_sha256(record):
 @given(st.text(max_size=200))
 def test_shingle_minhash_simhash_total(text):
     """Sketch kernels never crash and are deterministic on arbitrary text."""
+    import numpy as np
+
     from case_uco_ontology_map_ray.functions.hashing import (
         MinHasher,
         char_shingles,
-        simhash64,
+        simhash64_batch,
     )
 
     sh = char_shingles(text, 4)
     mh = MinHasher(16)
     assert (mh.signature(sh) == mh.signature(sh)).all()
-    assert simhash64(sh) == simhash64(sh)
+    offs = np.array([0, len(sh)], dtype=np.int64)
+    assert (simhash64_batch(sh, offs) == simhash64_batch(sh, offs)).all()
 
 
 json_values = st.recursive(
@@ -182,31 +187,6 @@ def test_quantization_roundtrip_bound(vectors):
     assert (err <= scale[:, None] / 2 + 1e-9).all()
 
 
-def test_normalize_texts_matches_scalar_reference():
-    import re
-
-    import pyarrow as pa
-    import ray.data as rd
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from case_uco_ontology_map_ray.ops.text import normalize_texts
-
-    def scalar(x: str) -> str:
-        return re.sub(r"[^a-z0-9]+", " ", x.lower()).strip()
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.text(max_size=40), min_size=1, max_size=8))
-    def check(texts):
-        tab = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                        "text": pa.array(texts, pa.string())})
-        out = (normalize_texts(rd.from_arrow(tab)).to_pandas()
-               .sort_values("doc_id"))
-        assert list(out.norm_text) == [scalar(t) for t in texts]
-
-    check()
-
-
 def test_pagerank_quantized_iteration_is_scale_free():
     """rank_norm is normalized to mean ~1: on a k-regular graph every node
     must get exactly rank 1.0 at every iteration (fixed point)."""
@@ -263,3 +243,119 @@ def test_wedge_keys_match_brute_force(pairs):
                for c in nodes if c > b and (a, b) in eset and (a, c) in eset
                and (b, c) in eset)
     assert got == want
+
+
+# Hostile tool-turn text: raw JSON fragments that a strict parser rejects or
+# that decode to values no fixture holds (NaN, overflowing floats, >64-bit
+# integers, lone surrogates, deep nesting, non-string artifact types).
+_HOSTILE_VALUES = [
+    "NaN", "-Infinity", "1e400", "-1e400", "123456789012345678901234567890",
+    '"\\ud800"', '"tail \\udfff"', '"\\ud83d\\ude00"', '"C:\\\\Windows\\\\a.exe"',
+    '""', "null", "true", "0.1", "[]", "{}", '[1, "x", null]',
+]
+_HOSTILE_ATYPES = [
+    '"MFT Records"', '"Windows Prefetch execution cache records"',
+    '"Windows Event Log records"', '"iot_sensor_log"', '"\\udc00"',
+    "5", "[]", "{}", "null", "true", "1e400", "NaN",
+]
+_HOSTILE_KEYS = ['"FullPath"', '"EntryNumber"', '"FileName"', '"Level"',
+                 '"RunCount"', '"Path"', '"x y"', '""', '"\\ud800"',
+                 '"artifact_type"', '"@id"']
+
+
+def _nested(depth: int, as_list: bool) -> str:
+    if as_list:
+        return "[" * depth + "1" + "]" * depth
+    return '{"k": ' * depth + "1" + "}" * depth
+
+
+hostile_values = st.one_of(
+    st.sampled_from(_HOSTILE_VALUES),
+    # at the stages' nesting cap (the payload and record add two or three
+    # levels), near Python's recursion limit and past orjson's 1024 levels
+    st.builds(_nested, st.sampled_from([2, 60, MAX_NESTING - 3,
+                                        MAX_NESTING - 2, 990, 3000]),
+              st.booleans()),
+)
+hostile_fields = st.lists(
+    st.tuples(st.sampled_from(_HOSTILE_KEYS), hostile_values),
+    min_size=1, max_size=6, unique_by=lambda kv: kv[0])
+
+
+@st.composite
+def hostile_turn_texts(draw):
+    """Tool-turn texts of one conversation: each payload is followed by a
+    twin whose record keys are permuted, and a few turns are cut short."""
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        fields = draw(hostile_fields)
+        twin = draw(st.permutations(fields))
+        atype = draw(st.sampled_from(_HOSTILE_ATYPES))
+        rec, rec2 = ("{" + ", ".join(f"{k}: {v}" for k, v in f) + "}"
+                     for f in (fields, twin))
+        shape = draw(st.sampled_from(["record", "records", "list"]))
+        if shape == "record":
+            pair = [f'{{"artifact_type": {atype}, "record": {r}}}'
+                    for r in (rec, rec2)]
+        elif shape == "records":
+            pair = [f'{{"artifact_type": {atype}, "records": [{rec}, {rec2}]}}',
+                    f'{{"records": [{rec2}, {rec}], "artifact_type": {atype}}}']
+        else:
+            pair = [f'[{{"artifact_type": {atype}, "record": {r}}}]'
+                    for r in (rec, rec2)]
+        texts.extend(pair)
+        if draw(st.booleans()):
+            texts.append(pair[0][:draw(st.integers(1, len(pair[0]) - 1))])
+    return texts
+
+
+@settings(max_examples=40, deadline=None)
+@given(hostile_turn_texts())
+def test_hostile_tool_turns_never_raise(texts):
+    """Every in-process KG stage (record iterator; triple, validating,
+    coverage and JSON-LD stages; the by-record dedup's extract and finish;
+    the custom-facet signature and definition steps) takes hostile
+    tool-turn text without raising; no Ray."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from case_uco_ontology_map_ray.pipelines.kg import (
+        _extract_fp,
+        _facet_definition,
+        _facet_signatures,
+        _finish_records,
+    )
+    from case_uco_ontology_map_ray.stages.kg_stage import tool_records
+
+    n = len(texts)
+    batch = pa.table({
+        "conv_id": pa.array(["c0"] * n, pa.string()),
+        "turn_idx": pa.array(range(n), pa.int32()),
+        "role": pa.array(["tool"] * n, pa.string()),
+        "text": pa.array(texts, pa.string()),
+    })
+    kept = list(tool_records(batch))
+    triples, *_ = [stage(batch) for stage in _stages()]
+    deduped = _finish_records(_extract_fp(batch, 4))
+    # key-permuted twins share a fingerprint: by-record dedup never emits
+    # a triple the triple stage did not
+    key = ["subj", "pred", "obj"]
+    assert set(zip(*deduped.select(key).to_pydict().values())) <= \
+        set(zip(*triples.select(key).to_pydict().values()))
+    sigs = _facet_signatures(batch)
+    for atype in set(sigs.column("artifact_type").to_pylist()):
+        _facet_definition(sigs.filter(pc.equal(sigs.column("artifact_type"),
+                                               atype)))
+    assert all(a is None or type(a) is str for *_, a in kept)
+
+
+@functools.cache
+def _stages():
+    """The triple stage first, then the validating, coverage and JSON-LD
+    stages, shared by every example (their mapper caches warm across
+    examples, as in a worker process)."""
+    from case_uco_ontology_map_ray.pipelines.jsonld import TurnJsonLd
+    from case_uco_ontology_map_ray.stages.kg_stage import CoverageStats, TurnTriples
+    from case_uco_ontology_map_ray.stages.validate_stage import ValidatingTurnTriples
+
+    return TurnTriples(), ValidatingTurnTriples(), CoverageStats(), TurnJsonLd()

@@ -13,6 +13,7 @@ from case_uco_ontology_map_ray.pipelines.jsonld import TurnJsonLd
 from case_uco_ontology_map_ray.pipelines.kg import _extract_fp
 from case_uco_ontology_map_ray.sources.transcripts import conversations_table
 from case_uco_ontology_map_ray.stages.kg_stage import (
+    MAX_NESTING,
     CoverageStats,
     TurnTriples,
     tool_records,
@@ -25,14 +26,24 @@ CUSTOM = {"artifact_type": "Widget Telemetry Dump", "widget_serial": "W-1",
           "spin_rate": 12.5, "is_spinning": True}
 DEEP = "[" * 900 + "1" + "]" * 900
 DEEPER = "[" * 5000 + "1" + "]" * 5000
-# a record VALUE nested 950 deep: it parses, so it maps like any other value
-DEEP_VALUE = ('{"artifact_type": "Widget Telemetry Dump", "widget_serial": '
-              + "[" * 950 + "1" + "]" * 950 + "}")
-# turns that parse but must be skipped: a non-string artifact_type, and a
-# lone surrogate escape (orjson rejects it, the stdlib fallback accepts it)
+
+
+def _deep_value(lists: int) -> str:
+    return ('{"artifact_type": "Widget Telemetry Dump", "widget_serial": '
+            + "[" * lists + "1" + "]" * lists + "}")
+
+
+# a record VALUE nested to the cap (MAX_NESTING levels with the record
+# itself): it maps like any other value
+DEEP_VALUE = _deep_value(MAX_NESTING - 1)
+# turns that parse but must be skipped: a non-string artifact_type, a lone
+# surrogate escape (orjson rejects it, the stdlib fallback accepts it), and
+# a value one level past the cap (orjson parses it; the encoders downstream
+# would overflow the stack at ~1000 levels)
 HOSTILE_TURNS = [json.dumps({**CUSTOM, "artifact_type": t})
                  for t in (5, ["x"], {"a": 1})] + [
-    json.dumps({**CUSTOM, "widget_serial": "a\ud800b"})]
+    json.dumps({**CUSTOM, "widget_serial": "a\ud800b"}),
+    _deep_value(MAX_NESTING), _deep_value(990)]
 
 
 def _batch(rows):
@@ -135,7 +146,7 @@ def test_deeply_nested_turns_do_not_fail_a_job():
         got = _rows(job(rd.from_arrow(hostile)).to_pandas())
         assert got == want and want, name
         if {"conv_id", "turn_idx"} <= set(want_df.columns):
-            # the record with the 950-deep value went through the stage
+            # the record with the value nested to the cap went through
             assert ((want_df.conv_id.astype(str) == "x")
                     & (want_df.turn_idx == 1)).any(), name
     want = _rows(kg.custom_facet_definitions(rd.from_arrow(base)))
@@ -144,8 +155,8 @@ def test_deeply_nested_turns_do_not_fail_a_job():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_record_value_nested_950_deep_goes_through_every_stage():
-    """A record whose value is nested 950 deep maps like any other record in
+def test_record_value_nested_to_the_cap_goes_through_every_stage():
+    """A record nested ``MAX_NESTING`` deep maps like any other record in
     every KG stage run as a Ray job: its value flattens to one literal, the
     validating stage passes it, the dedup finish rebuilds the same triples,
     and coverage, JSON-LD and the custom-facet signatures count it."""

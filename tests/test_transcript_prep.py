@@ -125,3 +125,37 @@ def test_tool_usage_distinct_convs():
     assert out.loc["grep", "total_chars"] == len("payload-123")
     assert out.loc["awk", "n_calls"] == 1
     assert set(out.index) == {"grep", "awk"}  # non-tool roles excluded
+
+
+def test_redact_pii_families_and_order(ray_session):
+    """Each family redacts its tokens; sequential semantics: digit runs
+    inside an email are gone before the num family, pure-digit runs never
+    double-count as hex, and clean text passes through byte-identical."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from case_uco_ontology_map_ray.ops.text import redact_pii
+
+    rows = {
+        "doc_id": [1, 2, 3, 4],
+        "text": [
+            "reach me: a.user+tag@sub.example.org from 192.168.0.254",
+            "ssn 123-45-6789, acct 0012345678, sha D8414F97ab12",
+            "digits 123456789 are num NOT hex; beef1234 is hex",
+            "short 12345 and CAFE are untouched",
+        ],
+    }
+    out = (redact_pii(rd.from_arrow(pa.table(rows)))
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert out["red_text"].tolist() == [
+        "reach me: <EMAIL> from <IP>",
+        "ssn <SSN>, acct <NUM>, sha <HEX>",
+        "digits <NUM> are num NOT hex; <HEX> is hex",
+        "short 12345 and CAFE are untouched",
+    ]
+    assert out[["n_email", "n_ipv4", "n_ssn", "n_num", "n_hex"]].values.tolist() == [
+        [1, 1, 0, 0, 0],
+        [0, 0, 1, 1, 1],
+        [0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0],
+    ]
